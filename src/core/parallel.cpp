@@ -87,10 +87,7 @@ PipelineResult ParallelPipeline::run(const sim::Simulator& simulator) const {
 
   if (failed.load()) std::rethrow_exception(first_error);
 
-  PipelineResult r;
-  r.system = system;
-  r.weighted_alert_counts.assign(ctx.num_categories, 0.0);
-  r.physical_alert_counts.assign(ctx.num_categories, 0);
+  PipelineResult r = detail::make_partial(ctx);
   obs::Counter& chunks = detail::PipelineCounters::get().chunks;
   {
     obs::Span merge_span("pipeline_merge");

@@ -160,10 +160,7 @@ PipelineResult run_pipeline(const sim::Simulator& simulator,
   const std::size_t n = simulator.events().size();
   const std::size_t chunk = std::max<std::size_t>(options.chunk_events, 1);
 
-  PipelineResult r;
-  r.system = system;
-  r.weighted_alert_counts.assign(ctx.num_categories, 0.0);
-  r.physical_alert_counts.assign(ctx.num_categories, 0);
+  PipelineResult r = detail::make_partial(ctx);
   match::MatchScratch scratch;  // reused across every line of the pass
   tag::TagMetricsFlusher flusher;
   obs::Counter& chunks = detail::PipelineCounters::get().chunks;

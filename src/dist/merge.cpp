@@ -118,11 +118,9 @@ MergeReport run_merge(const StudyManifest& manifest,
           }
         }
       }
-      core::PipelineResult acc;
-      acc.system = system;
-      const std::size_t num_categories = tag::categories_of(system).size();
-      acc.weighted_alert_counts.assign(num_categories, 0.0);
-      acc.physical_alert_counts.assign(num_categories, 0);
+      core::PipelineResult acc = core::detail::make_partial(
+          {.system = system,
+           .num_categories = tag::categories_of(system).size()});
       for (auto& [chunk, result] : by_chunk) {
         core::detail::merge_partial(acc, std::move(result));
         chunks_counter.inc();

@@ -49,7 +49,9 @@ bool SimultaneousFilter::admit(const Alert& a) {
   return !redundant;
 }
 
-void SimultaneousFilter::publish_metrics() {
+void SimultaneousFilter::publish_metrics() { publish_tallies(table_size()); }
+
+void SimultaneousFilter::publish_tallies(std::size_t live_entries) {
   auto& reg = obs::registry();
   const std::uint64_t d_offered = offered_ - published_offered_;
   const std::uint64_t d_admitted = admitted_ - published_admitted_;
@@ -75,7 +77,7 @@ void SimultaneousFilter::publish_metrics() {
     published_admitted_by_cat_[c] = admitted_by_cat_[c];
   }
   reg.gauge("wss_filter_table_live_entries")
-      .set(static_cast<std::int64_t>(table_size()));
+      .set(static_cast<std::int64_t>(live_entries));
 }
 
 void SimultaneousFilter::reset() {

@@ -150,8 +150,8 @@ std::string to_prometheus(const MetricsSnapshot& s) {
                           label_prefix.c_str(), le.c_str(),
                           static_cast<unsigned long long>(cumulative));
     }
-    const std::string suffix =
-        label.empty() ? "" : "{" + std::string(label) + "}";
+    std::string suffix;
+    if (!label.empty()) suffix.append("{").append(label).append("}");
     out += util::format("%s_sum%s %s\n", base_s.c_str(), suffix.c_str(),
                         fmt_double(h.sum).c_str());
     out += util::format("%s_count%s %llu\n", base_s.c_str(), suffix.c_str(),

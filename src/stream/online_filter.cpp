@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -10,46 +9,15 @@ namespace wss::stream {
 
 OnlineSimultaneousFilter::OnlineSimultaneousFilter(util::TimeUs threshold_us,
                                                    bool strict_order)
-    : threshold_(threshold_us), strict_(strict_order) {
-  if (threshold_us <= 0) {
-    throw std::invalid_argument(
-        "OnlineSimultaneousFilter: threshold must be > 0");
-  }
-}
+    : SimultaneousFilter(threshold_us), strict_(strict_order) {}
 
-bool OnlineSimultaneousFilter::offer(const filter::Alert& a) {
+bool OnlineSimultaneousFilter::admit(const filter::Alert& a) {
   if (strict_ && any_seen_ && a.time < watermark_) {
     throw std::invalid_argument(
         "OnlineSimultaneousFilter: stream not time-sorted");
   }
-  // Identical decision sequence to SimultaneousFilter::admit; the
-  // clear(X) test uses the *previous* timestamp, which on a sorted
-  // stream coincides with the watermark.
-  if (any_seen_ && a.time - last_offer_ > threshold_) {
-    ++epoch_;  // clear(X): every entry is too stale to matter
-  }
   watermark_ = any_seen_ ? std::max(watermark_, a.time) : a.time;
-  last_offer_ = a.time;
-  any_seen_ = true;
-  ++offered_;
-
-  if (a.category >= table_.size()) {
-    table_.resize(static_cast<std::size_t>(a.category) + 1);
-  }
-  if (a.category >= offered_by_cat_.size()) {
-    offered_by_cat_.resize(static_cast<std::size_t>(a.category) + 1, 0);
-    admitted_by_cat_.resize(static_cast<std::size_t>(a.category) + 1, 0);
-  }
-  Entry& e = table_[a.category];
-  const bool redundant = e.epoch == epoch_ && a.time - e.time < threshold_;
-  e.epoch = epoch_;
-  e.time = a.time;
-  ++offered_by_cat_[a.category];
-  if (!redundant) {
-    ++admitted_;
-    ++admitted_by_cat_[a.category];
-  }
-  return !redundant;
+  return SimultaneousFilter::admit(a);
 }
 
 void OnlineSimultaneousFilter::evict_stale() {
@@ -72,42 +40,18 @@ std::size_t OnlineSimultaneousFilter::live_entries() const {
 }
 
 void OnlineSimultaneousFilter::publish_metrics() {
-  auto& reg = obs::registry();
-  const std::uint64_t d_offered = offered_ - published_offered_;
-  const std::uint64_t d_admitted = admitted_ - published_admitted_;
-  reg.counter("wss_filter_offered_total").inc(d_offered);
-  reg.counter("wss_filter_admitted_total").inc(d_admitted);
-  reg.counter("wss_filter_suppressed_total").inc(d_offered - d_admitted);
-  reg.counter("wss_stream_filter_evicted_entries_total")
+  publish_tallies(live_entries());
+  obs::registry()
+      .counter("wss_stream_filter_evicted_entries_total")
       .inc(evicted_entries_ - published_evicted_);
-  published_offered_ = offered_;
-  published_admitted_ = admitted_;
   published_evicted_ = evicted_entries_;
-  published_offered_by_cat_.resize(offered_by_cat_.size(), 0);
-  published_admitted_by_cat_.resize(admitted_by_cat_.size(), 0);
-  for (std::size_t c = 0; c < offered_by_cat_.size(); ++c) {
-    if (const auto d = offered_by_cat_[c] - published_offered_by_cat_[c]) {
-      obs::labeled_counter("wss_filter_offered_by_category_total", "category",
-                           c)
-          .inc(d);
-    }
-    if (const auto d = admitted_by_cat_[c] - published_admitted_by_cat_[c]) {
-      obs::labeled_counter("wss_filter_admitted_by_category_total", "category",
-                           c)
-          .inc(d);
-    }
-    published_offered_by_cat_[c] = offered_by_cat_[c];
-    published_admitted_by_cat_[c] = admitted_by_cat_[c];
-  }
-  reg.gauge("wss_filter_table_live_entries")
-      .set(static_cast<std::int64_t>(live_entries()));
 }
 
 void OnlineSimultaneousFilter::save(CheckpointWriter& w) const {
   w.i64(threshold_);
   w.boolean(strict_);
   w.i64(watermark_);
-  w.i64(last_offer_);
+  w.i64(last_event_time_);
   w.boolean(any_seen_);
   w.u32(epoch_);
   w.u64(offered_);
@@ -124,12 +68,24 @@ void OnlineSimultaneousFilter::save(CheckpointWriter& w) const {
 }
 
 void OnlineSimultaneousFilter::load(CheckpointReader& r) {
-  threshold_ = r.i64();
-  strict_ = r.boolean();
+  // T and the order mode are stored twice, here and in the options
+  // block the caller built this filter from; a disagreement means a
+  // damaged file, and adopting either copy would change every verdict.
+  if (r.i64() != threshold_) {
+    throw std::runtime_error(
+        "checkpoint: filter threshold disagrees with the options block");
+  }
+  if (r.boolean() != strict_) {
+    throw std::runtime_error(
+        "checkpoint: filter order mode disagrees with the options block");
+  }
   watermark_ = r.i64();
-  last_offer_ = r.i64();
+  last_event_time_ = r.i64();
   any_seen_ = r.boolean();
   epoch_ = r.u32();
+  if (epoch_ == 0) {
+    throw std::runtime_error("checkpoint: filter epoch is 0");
+  }
   offered_ = r.u64();
   admitted_ = r.u64();
   evicted_entries_ = r.u64();

@@ -1,44 +1,38 @@
-// Algorithm 3.1 as an online operator with a watermark.
+// Algorithm 3.1 on an unbounded stream: filter::SimultaneousFilter
+// plus a watermark, watermark eviction and checkpointing.
 //
-// The batch SimultaneousFilter already processes alerts one at a time,
-// but it is framed for a materialized, finite stream: apply_filter
-// walks a vector and returns the survivors. This class reframes the
-// same algorithm for an unbounded stream and makes its two finality
-// properties explicit:
+// The redundancy test, clear(X), the category table, the tallies and
+// the wss_filter_* publishing are the batch filter's own code; this
+// subclass adds only what a stream that never ends needs. It rests on
+// two finality properties:
 //
 //  1. *Decisions are final immediately.* Algorithm 3.1 is causal -- the
 //     verdict on alert a_i depends only on a_1..a_i -- so an admitted
 //     alert can be emitted downstream the moment offer() returns true.
-//     Nothing is ever revised or retracted; bit-identical output to
-//     the batch filter on the same input needs no lookahead at all.
+//     Nothing is ever revised or retracted, and the output equals the
+//     batch filter's on the same input with no lookahead at all.
 //
 //  2. *State older than the watermark minus T is dead.* Let W be the
 //     watermark (the largest timestamp seen). On a time-sorted stream
 //     every future alert has time >= W, so a table entry with
 //     W - entry.time >= T can never again satisfy the redundancy test
 //     "a.time - entry.time < T" -- it is provably unobservable and
-//     evict_stale() may drop it. This is the same quiet-gap argument
-//     that makes PR 1's sharded filter correct, applied per entry
-//     instead of per segment: the filter's live state is bounded by
-//     the alerts of the last T seconds (at most one entry per
+//     evict_stale() may drop it. This is the quiet-gap argument that
+//     makes filter::apply_simultaneous_parallel correct, applied per
+//     entry instead of per segment: the filter's live state is bounded
+//     by the alerts of the last T seconds (at most one entry per
 //     category), never by the length of the log.
-//
-// Decision logic is kept line-for-line equivalent to
-// filter::SimultaneousFilter (epoch-bump clear included);
-// tests/test_stream_filter.cpp locks the two together
-// decision-for-decision on bursty and simulated streams.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "filter/alert.hpp"
+#include "filter/simultaneous.hpp"
 #include "stream/checkpoint.hpp"
 
 namespace wss::stream {
 
 /// Online simultaneous spatio-temporal filter (paper Algorithm 3.1).
-class OnlineSimultaneousFilter {
+class OnlineSimultaneousFilter final : public filter::SimultaneousFilter {
  public:
   /// `strict_order`: throw std::invalid_argument on a timestamp
   /// regression (the contract of the batch apply_filter). Disable for
@@ -48,70 +42,54 @@ class OnlineSimultaneousFilter {
   explicit OnlineSimultaneousFilter(util::TimeUs threshold_us,
                                     bool strict_order = true);
 
+  /// SimultaneousFilter::admit after the strict-order check, advancing
+  /// the watermark.
+  bool admit(const filter::Alert& a) override;
+  void reset() override {
+    SimultaneousFilter::reset();
+    watermark_ = 0;
+  }
+
   /// Feeds the next alert. Returns true iff admitted; an admitted
   /// alert is final immediately (see file comment) and should be
   /// emitted downstream by the caller.
-  bool offer(const filter::Alert& a);
+  bool offer(const filter::Alert& a) { return admit(a); }
 
   /// Largest timestamp seen (0 before the first alert).
   util::TimeUs watermark() const { return watermark_; }
 
   /// Drops table entries that the watermark proves unobservable
   /// (W - entry.time >= T). Semantics-preserving ONLY on sorted
-  /// streams; requires strict_order. Called by the engine between
-  /// chunks to keep resident state at its O(live categories) floor.
+  /// streams, so a no-op without strict_order. Called by the engine
+  /// between chunks to keep resident state at its O(live categories)
+  /// floor.
   void evict_stale();
 
   /// Live entries: current epoch and still inside the T horizon.
   std::size_t live_entries() const;
 
-  std::uint64_t offered() const { return offered_; }
-  std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t suppressed() const { return offered_ - admitted_; }
-
   /// Table entries dropped by evict_stale() so far.
   std::uint64_t evicted_entries() const { return evicted_entries_; }
 
-  util::TimeUs threshold() const { return threshold_; }
-
-  /// Publishes tally growth since the last publish to the same
-  /// wss_filter_* counters the batch filter uses (the decision
-  /// sequences are identical, so the totals agree between batch and
-  /// stream runs of the same alerts), plus the stream-only eviction
-  /// counter and the live-entry gauge. Call at cold points (chunk
-  /// boundary, finish, save); idempotent.
-  void publish_metrics();
+  /// The batch filter's publish, with the occupancy gauge narrowed to
+  /// live_entries(), plus the stream-only eviction counter. Call at
+  /// cold points (chunk boundary, finish, save); idempotent.
+  void publish_metrics() override;
 
   void save(CheckpointWriter& w) const;
+  /// Throws std::runtime_error if the stored threshold or order mode
+  /// differs from this filter's, or the stored epoch is 0.
   void load(CheckpointReader& r);
 
  private:
-  struct Entry {
-    std::uint32_t epoch = 0;  ///< 0 = never written
-    util::TimeUs time = 0;
-  };
-
-  util::TimeUs threshold_;
   bool strict_;
-  util::TimeUs watermark_ = 0;    ///< max timestamp seen
-  util::TimeUs last_offer_ = 0;   ///< previous timestamp (clear(X) test)
-  bool any_seen_ = false;
-  std::uint32_t epoch_ = 1;
-  std::vector<Entry> table_;  ///< indexed by category id
-  std::uint64_t offered_ = 0;
-  std::uint64_t admitted_ = 0;
+  util::TimeUs watermark_ = 0;  ///< max timestamp seen
   std::uint64_t evicted_entries_ = 0;
-  std::vector<std::uint64_t> offered_by_cat_;   ///< indexed by category id
-  std::vector<std::uint64_t> admitted_by_cat_;  ///< indexed by category id
-
-  // Publish baselines (NOT checkpointed: save() publishes pending
-  // deltas first, and load() re-bases on the loaded tallies because
-  // the restored registry already contains everything published).
-  std::uint64_t published_offered_ = 0;
-  std::uint64_t published_admitted_ = 0;
+  // Not checkpointed: save() publishes pending deltas first, and
+  // load() re-bases every publish baseline on the loaded tallies
+  // because the restored registry already contains everything
+  // published.
   std::uint64_t published_evicted_ = 0;
-  std::vector<std::uint64_t> published_offered_by_cat_;
-  std::vector<std::uint64_t> published_admitted_by_cat_;
 };
 
 }  // namespace wss::stream

@@ -97,7 +97,7 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
   if (study_.events() % opts_.study.chunk_events == 0) {
     // Chunk boundary: shed filter entries the watermark proves dead,
     // and publish the cold-path metric deltas.
-    if (opts_.strict_order) filter_.evict_stale();
+    filter_.evict_stale();
     flusher_.flush(scratch_);
     StreamObs::get().watermark.set(study_.watermark());
   }

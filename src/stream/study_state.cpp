@@ -7,21 +7,6 @@
 
 namespace wss::stream {
 
-namespace {
-
-/// A fresh chunk partial with the same zero-state the batch
-/// core::detail::make_partial produces.
-core::PipelineResult fresh_partial(parse::SystemId system,
-                                   std::size_t num_categories) {
-  core::PipelineResult r;
-  r.system = system;
-  r.weighted_alert_counts.assign(num_categories, 0.0);
-  r.physical_alert_counts.assign(num_categories, 0);
-  return r;
-}
-
-}  // namespace
-
 std::vector<double> StreamSnapshot::category_rates_per_day() const {
   std::vector<double> rates(weighted_alert_counts.size(), 0.0);
   const double elapsed_days =
@@ -39,8 +24,10 @@ StreamStudyState::StreamStudyState(parse::SystemId system,
     : system_(system),
       opts_(opts),
       num_categories_(tag::categories_of(system).size()),
-      total_(fresh_partial(system, num_categories_)),
-      partial_(fresh_partial(system, num_categories_)),
+      total_(core::detail::make_partial(
+          {.system = system, .num_categories = num_categories_})),
+      partial_(core::detail::make_partial(
+          {.system = system, .num_categories = num_categories_})),
       filtered_counts_(num_categories_, 0),
       gap_reservoir_(opts.reservoir_k, opts.reservoir_seed),
       window_messages_(opts.window_us, opts.window_buckets),
@@ -106,7 +93,8 @@ void StreamStudyState::merge_open_chunk() {
   // as core::run_pipeline does, in chunk order.
   partial_.tagged_alerts.clear();
   core::detail::merge_partial(total_, std::move(partial_));
-  partial_ = fresh_partial(system_, num_categories_);
+  partial_ = core::detail::make_partial(
+      {.system = system_, .num_categories = num_categories_});
   events_in_partial_ = 0;
   // Same chunk-merge accounting as the batch run/merge loops; NOT in
   // merge_partial itself, because snapshot() merges a copy.

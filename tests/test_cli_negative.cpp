@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "cli/commands.hpp"
@@ -225,6 +227,36 @@ TEST_F(CliNegativeTest, PredictRestoreFromNonPredictCheckpointStillWorks) {
                         "--chatter", "1000", "--predict", "--restore", ckpt}),
             0)
       << err_.str();
+}
+
+TEST_F(CliNegativeTest, StreamRestoreRejectsFilterBlockThresholdMismatch) {
+  // The checkpoint stores T twice: in the options block (offset 9) and
+  // at the head of the filter block. A damaged second copy used to be
+  // adopted silently and changed every later filter verdict.
+  const std::string ckpt = (dir_ / "state.ckpt").string();
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--cap", "200",
+                        "--chatter", "1000", "--checkpoint", ckpt}),
+            0)
+      << err_.str();
+  std::string bytes;
+  {
+    std::ifstream is(ckpt, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  const std::string t_bytes = bytes.substr(9, 8);
+  const std::size_t filter_t = bytes.find(t_bytes, 10);
+  ASSERT_NE(filter_t, std::string::npos);
+  ASSERT_EQ(bytes.find(t_bytes, filter_t + 1), std::string::npos)
+      << "T appears more than twice; the filter block is ambiguous";
+  bytes[filter_t] ^= 1;  // flip one bit of the filter block's T
+  {
+    std::ofstream os(ckpt, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--cap", "200",
+                        "--chatter", "1000", "--restore", ckpt}),
+            1);
+  expect_one_line_error("restore failed: checkpoint: filter threshold");
 }
 
 // ---- Distributed study commands (study --split-by, worker, merge) ----

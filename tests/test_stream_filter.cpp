@@ -141,5 +141,33 @@ TEST(StreamFilter, CheckpointRoundTripContinuesIdentically) {
   EXPECT_EQ(uninterrupted.watermark(), restored.watermark());
 }
 
+TEST(StreamFilter, LoadRejectsThresholdOrOrderModeMismatch) {
+  // The filter block repeats T and the order mode of the options block
+  // the restoring filter is built from; a disagreement is a damaged
+  // checkpoint, never a value to adopt.
+  stream::OnlineSimultaneousFilter saved(kT);
+  saved.offer(make_alert(0, 1));
+  std::stringstream buf;
+  {
+    stream::CheckpointWriter w(buf);
+    saved.save(w);
+    ASSERT_TRUE(w.ok());
+  }
+  const std::string bytes = buf.str();
+
+  const auto load_into = [&](stream::OnlineSimultaneousFilter& f) {
+    std::istringstream is(bytes);
+    stream::CheckpointReader r(is);
+    f.load(r);
+  };
+  stream::OnlineSimultaneousFilter other_threshold(6 * util::kUsPerSec);
+  EXPECT_THROW(load_into(other_threshold), std::runtime_error);
+  stream::OnlineSimultaneousFilter other_order(kT, /*strict_order=*/false);
+  EXPECT_THROW(load_into(other_order), std::runtime_error);
+  stream::OnlineSimultaneousFilter same(kT);
+  EXPECT_NO_THROW(load_into(same));
+  EXPECT_EQ(same.offered(), 1u);
+}
+
 }  // namespace
 }  // namespace wss
