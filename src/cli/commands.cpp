@@ -3,11 +3,14 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -169,18 +172,25 @@ class SignalDrain {
   SignalDrain() {
     net::ShutdownSignal::install();
     watcher_ = std::thread([this] {
-      while (!done_.load(std::memory_order_relaxed)) {
+      std::unique_lock<std::mutex> lock(mu_);
+      // Polls the signal flag every 50 ms; the destructor's notify
+      // ends the wait at once, so exit never waits out a poll step.
+      while (!done_) {
         if (net::ShutdownSignal::stop_requested()) {
           cancel_.store(true, std::memory_order_relaxed);
           return;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        cv_.wait_for(lock, std::chrono::milliseconds(50));
       }
     });
   }
 
   ~SignalDrain() {
-    done_.store(true, std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
     watcher_.join();
     net::ShutdownSignal::uninstall();
   }
@@ -195,7 +205,9 @@ class SignalDrain {
 
  private:
   std::atomic<bool> cancel_{false};
-  std::atomic<bool> done_{false};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;  // guarded by mu_
   std::thread watcher_;
 };
 
@@ -281,9 +293,11 @@ void print_usage(std::ostream& os) {
         "  stream     run the online pipeline over a live event stream\n"
         "             --system NAME; source: simulated replay (default;\n"
         "             [--seed N] [--cap N] [--chatter N] [--speed N]) or\n"
-        "             --in PATH (parsed log, [--year Y])\n"
-        "             [--threshold SEC] [--window SEC] [--queue N]\n"
-        "             [--policy block|drop-oldest] [--refresh N]\n"
+        "             --in PATH (parsed log, [--year Y]; '-' = stdin,\n"
+        "             read to EOF first; never drops a line)\n"
+        "             [--threshold SEC] [--window SEC] [--refresh N]\n"
+        "             [--queue N] [--policy block|drop-oldest]  bound\n"
+        "             and overflow policy of the simulated source's ring\n"
         "             [--checkpoint PATH] [--restore PATH]\n"
         "             [--max-events N] [--emit PATH]\n"
         "             [--predict]  online failure prediction: mines\n"
@@ -783,7 +797,10 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   std::uint64_t ingested = 0;
   bool truncated = false;
 
-  stream::IngestRing ring(static_cast<std::size_t>(queue_cap), policy);
+  // Only the simulated source has a producer thread and a ring between
+  // it and the engine; file mode ingests in place and never drops.
+  std::optional<stream::IngestRing> ring;
+  const auto dropped = [&ring] { return ring ? ring->dropped() : 0; };
 
   // SIGINT/SIGTERM request a graceful drain: stop the producer, finish
   // what is in flight, checkpoint if asked, and print the tables --
@@ -795,7 +812,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       return;
     }
     auto snap = pipeline.snapshot();
-    snap.dropped = ring.dropped();
+    snap.dropped = dropped();
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
@@ -828,15 +845,16 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       ropts.end = end;
       ropts.cancel = drain.cancel_flag();
       const sim::Replayer replayer(simulator, ropts);
+      ring.emplace(static_cast<std::size_t>(queue_cap), policy);
       producer = std::thread([&replayer, &ring, &drain] {
         replayer.run([&ring, &drain](std::size_t i, const sim::SimEvent& e,
                                      std::string&& line) {
           if (drain.stopped()) return false;
-          return ring.push({i, e, std::move(line)});
+          return ring->push({i, e, std::move(line)});
         });
-        ring.close();
+        ring->close();
       });
-      while (auto item = ring.pop()) {
+      while (auto item = ring->pop()) {
         pipeline.ingest(item->event, item->line);
         ++ingested;
         tick();
@@ -846,38 +864,29 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
         }
       }
       if (truncated) {
-        ring.close();
-        while (ring.try_pop()) {  // unblock a producer stuck in push
+        ring->close();
+        while (ring->try_pop()) {  // unblock a producer stuck in push
         }
       }
       producer.join();
     } else {
-      // File source: line-delimited log, optionally stdin ("-").
-      // InputBuffer mmaps plain files (zero-copy; WSS_MMAP=0 forces
-      // the read() path) and drains pipes via read().
-      logio::InputBuffer input = *in_path == "-"
-                                     ? logio::InputBuffer::from_fd(0)
-                                     : logio::InputBuffer::open(*in_path);
-      producer = std::thread([&ring, &resume, input = std::move(input)] {
-        const std::string_view text = input.view();
-        const char* p = text.data();
-        const char* const end = p + text.size();
-        std::uint64_t index = 0;
-        // Manual split (not for_each_line) so a closed ring can stop
-        // the scan early; getline semantics otherwise.
-        while (p != end) {
-          const char* nl = simd::find_byte(p, end, '\n');
-          const std::string_view line(p, static_cast<std::size_t>(nl - p));
-          p = nl == end ? end : nl + 1;
-          if (index++ < resume) continue;  // checkpoint resume skip
-          if (!ring.push({index - 1, sim::SimEvent{}, std::string(line)})) {
-            break;
-          }
-        }
-        ring.close();
-      });
-      while (auto item = ring.pop()) {
-        pipeline.ingest_line(item->line);
+      // File source: line-delimited log, optionally stdin ("-"), held
+      // whole in memory -- InputBuffer mmaps plain files (WSS_MMAP=0
+      // forces the read() path) and reads pipes to EOF -- so the
+      // engine ingests views into it directly, with getline semantics.
+      const logio::InputBuffer input = *in_path == "-"
+                                           ? logio::InputBuffer::from_fd(0)
+                                           : logio::InputBuffer::open(*in_path);
+      const std::string_view text = input.view();
+      const char* p = text.data();
+      const char* const end = p + text.size();
+      std::uint64_t index = 0;
+      while (p != end) {
+        const char* nl = simd::find_byte(p, end, '\n');
+        const std::string_view line(p, static_cast<std::size_t>(nl - p));
+        p = nl == end ? end : nl + 1;
+        if (index++ < resume) continue;  // checkpoint resume skip
+        pipeline.ingest_line(line);
         ++ingested;
         tick();
         if (drain.stopped() ||
@@ -887,16 +896,10 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
           break;
         }
       }
-      if (truncated) {
-        ring.close();
-        while (ring.try_pop()) {  // a drained producer can exit
-        }
-      }
-      producer.join();
     }
   } catch (const std::exception& e) {
     if (producer.joinable()) {
-      ring.close();
+      ring->close();
       producer.join();
     }
     err << "stream: " << e.what() << "\n";
@@ -920,7 +923,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   }
 
   auto snap = pipeline.snapshot();
-  snap.dropped = ring.dropped();
+  snap.dropped = dropped();
   if (truncated) {
     out << util::format(
         "paused after %s events%s\n",

@@ -17,7 +17,9 @@
 //                 into the single-process tables/figures
 //   wss stream    --system liberty [--speed N] [--threshold 5.0]
 //                 [--in log.txt | --seed N --cap N --chatter N]
-//                 [--policy block|drop-oldest] [--queue N]
+//                 [--policy block|drop-oldest] [--queue N]  (simulated
+//                 source only; --in ingests in-process, never drops,
+//                 and reads stdin "-" to EOF first)
 //                 [--checkpoint PATH] [--restore PATH] [--max-events N]
 //                 [--emit PATH] [--refresh N] [--window SEC]
 //                 SIGINT/SIGTERM drain gracefully (checkpoint + report)

@@ -137,6 +137,52 @@ TEST_F(StreamCliTest, FileModeStreamsGeneratedLog) {
   EXPECT_EQ(out_.str(), first);
 }
 
+TEST_F(StreamCliTest, FileModeCheckpointResumeReportEqualsUninterrupted) {
+  const auto log = (dir_ / "log.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "spirit", "--out", log,
+                        "--cap", "400", "--chatter", "2000"}),
+            0);
+  const std::size_t total = file_lines(log).size();
+  ASSERT_GT(total, 2u);
+  const std::vector<std::string> base = {"stream", "--system", "spirit",
+                                         "--in", log};
+  ASSERT_EQ(run_tokens(base), 0);
+  const std::string uninterrupted = out_.str();
+
+  // A pause mid-file, and one on the last line (which still reports
+  // "paused after" and leaves finish() to the resumed run).
+  for (const std::size_t n : {total / 2, total}) {
+    SCOPED_TRACE("--max-events " + std::to_string(n));
+    const auto ck = (dir_ / ("ck_" + std::to_string(n) + ".wssc")).string();
+    auto first_half = base;
+    first_half.insert(first_half.end(), {"--max-events", std::to_string(n),
+                                         "--checkpoint", ck});
+    ASSERT_EQ(run_tokens(first_half), 0);
+    EXPECT_NE(out_.str().find("paused after"), std::string::npos);
+    EXPECT_NE(out_.str().find("resume with --restore"), std::string::npos);
+    ASSERT_TRUE(fs::exists(ck));
+
+    auto resumed = base;
+    resumed.insert(resumed.end(), {"--restore", ck});
+    ASSERT_EQ(run_tokens(resumed), 0);
+    EXPECT_EQ(out_.str(), uninterrupted);
+  }
+}
+
+TEST_F(StreamCliTest, FileModeIsLosslessWhateverQueueAndPolicy) {
+  const auto log = (dir_ / "log.txt").string();
+  ASSERT_EQ(run_tokens({"generate", "--system", "liberty", "--out", log,
+                        "--cap", "400", "--chatter", "2000"}),
+            0);
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--in", log}), 0);
+  const std::string lossless = out_.str();
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--in", log,
+                        "--policy", "drop-oldest", "--queue", "1"}),
+            0);
+  EXPECT_EQ(out_.str(), lossless);
+  EXPECT_EQ(out_.str().find("dropped at ingestion"), std::string::npos);
+}
+
 TEST_F(StreamCliTest, GenerateReplayUnpacedMatchesBulkWrite) {
   const auto bulk = (dir_ / "bulk.txt").string();
   const auto replayed = (dir_ / "replay.txt").string();
