@@ -41,6 +41,7 @@
 #include "tag/engine.hpp"
 #include "tag/metrics.hpp"
 #include "tag/rulesets.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -909,15 +910,11 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   if (!truncated) pipeline.finish();
 
   if (checkpoint_path) {
-    std::ofstream os(*checkpoint_path, std::ios::binary);
-    if (!os) {
-      err << "stream: cannot open " << *checkpoint_path << "\n";
-      return 1;
-    }
     try {
-      pipeline.save(os);
+      util::publish_file(*checkpoint_path,
+                         [&](std::ostream& os) { pipeline.save(os); });
     } catch (const std::exception& e) {
-      err << "stream: checkpoint failed: " << e.what() << "\n";
+      err << "stream: " << e.what() << "\n";
       return 1;
     }
   }

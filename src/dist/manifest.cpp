@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "dist/json.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::dist {
@@ -18,22 +17,6 @@ std::optional<parse::SystemId> system_from_short_name(std::string_view name) {
     if (parse::system_short_name(id) == name) return id;
   }
   return std::nullopt;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("manifest: cannot open " + path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  if (is.bad()) throw std::runtime_error("manifest: read failed: " + path);
-  return std::move(ss).str();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw std::runtime_error("manifest: cannot open " + path);
-  os << content;
-  if (!os.flush()) throw std::runtime_error("manifest: write failed: " + path);
 }
 
 /// Rejects documents whose format/version tags this build does not
@@ -249,9 +232,13 @@ std::string partial_path(const std::string& dir, std::uint32_t id) {
 
 void write_manifest(const StudyManifest& manifest, const std::string& dir) {
   std::filesystem::create_directories(dir);
-  write_file(study_json_path(dir), render_study_json(manifest));
+  util::publish_file(study_json_path(dir), [&](std::ostream& os) {
+    os << render_study_json(manifest);
+  });
   for (const Assignment& a : manifest.assignments) {
-    write_file(assignment_json_path(dir, a.id), render_assignment_json(a));
+    util::publish_file(assignment_json_path(dir, a.id), [&](std::ostream& os) {
+      os << render_assignment_json(a);
+    });
   }
 }
 
@@ -259,7 +246,7 @@ StudyManifest load_manifest(const std::string& dir) {
   const std::string study_path = study_json_path(dir);
   JsonValue doc;
   try {
-    doc = parse_json(read_file(study_path));
+    doc = parse_json(util::read_file(study_path));
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(study_path + ": " + e.what());
   }
@@ -320,7 +307,7 @@ StudyManifest load_manifest(const std::string& dir) {
     const std::string path = assignment_json_path(dir, id);
     JsonValue adoc;
     try {
-      adoc = parse_json(read_file(path));
+      adoc = parse_json(util::read_file(path));
     } catch (const std::runtime_error& e) {
       throw std::runtime_error(path + ": " + e.what());
     }

@@ -1,50 +1,18 @@
 #include "dist/partial.hpp"
 
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
-#include "util/strings.hpp"
+#include "util/file.hpp"
 
 namespace wss::dist {
 
 namespace {
 
-/// Little-endian u64/u32 for the trailer (written outside the
-/// checksummed payload, so not through CheckpointWriter).
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint64_t parse_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint32_t parse_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-constexpr std::size_t kTrailerSize = 8 + 8 + 4;
-
-std::string render_payload(const PartialFile& partial) {
-  std::ostringstream os(std::ios::binary);
+void write_payload(std::ostream& os, const PartialFile& partial) {
   stream::CheckpointWriter w(os);
-  w.u32(kPartialMagic);
-  w.u32(kPartialVersion);
+  w.header(kPartialMagic, kPartialVersion);
   w.u32(partial.assignment);
   w.u32(partial.worker);
   w.str(partial.instance);
@@ -54,34 +22,21 @@ std::string render_payload(const PartialFile& partial) {
     w.u64(sys.chunks.size());
     for (const ChunkPartial& chunk : sys.chunks) {
       w.u64(chunk.chunk);
-      save_result(w, chunk.result);
+      stream::save_result(w, chunk.result);
     }
   }
-  stream::write_counter_table(w, partial.counter_deltas);
-  if (!w.ok()) throw std::runtime_error("partial: serialization failed");
-  return std::move(os).str();
+  stream::write_metric_table(w, partial.counter_deltas);
+  w.trailer();
 }
 
-PartialFile parse_payload(const std::string& payload) {
-  std::istringstream is(payload, std::ios::binary);
+PartialFile parse_payload(std::string payload) {
+  std::istringstream is(std::move(payload), std::ios::binary);
   stream::CheckpointReader r(is);
-  if (r.u32() != kPartialMagic) {
-    throw std::runtime_error("partial: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kPartialVersion) {
-    throw std::runtime_error(
-        util::format("partial: unsupported version %u (expected %u)", version,
-                     kPartialVersion));
-  }
   PartialFile p;
   p.assignment = r.u32();
   p.worker = r.u32();
   p.instance = r.str();
-  const std::uint64_t num_systems = r.u64();
-  if (num_systems > parse::kNumSystems) {
-    throw std::runtime_error("partial: implausible system count");
-  }
+  const std::uint64_t num_systems = r.count(parse::kNumSystems, "system count");
   p.systems.reserve(num_systems);
   for (std::uint64_t s = 0; s < num_systems; ++s) {
     SystemPartial sys;
@@ -90,192 +45,35 @@ PartialFile parse_payload(const std::string& payload) {
       throw std::runtime_error("partial: bad system id");
     }
     sys.system = static_cast<parse::SystemId>(id);
-    const std::uint64_t num_chunks = r.u64();
-    if (num_chunks > (1ull << 32)) {
-      throw std::runtime_error("partial: implausible chunk count");
-    }
+    const std::uint64_t num_chunks = r.count(1ull << 32, "chunk count");
     sys.chunks.reserve(num_chunks);
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
       ChunkPartial chunk;
       chunk.chunk = r.u64();
-      chunk.result = load_result(r);
+      chunk.result = stream::load_result(r);
       sys.chunks.push_back(std::move(chunk));
     }
     p.systems.push_back(std::move(sys));
   }
-  p.counter_deltas = stream::read_counter_table(r);
+  p.counter_deltas = stream::read_metric_table<std::uint64_t>(r);
   return p;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw std::runtime_error("partial: cannot open " + path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  if (is.bad()) throw std::runtime_error("partial: read failed: " + path);
-  return std::move(ss).str();
 }
 
 }  // namespace
 
-void save_result(stream::CheckpointWriter& w, const core::PipelineResult& r) {
-  w.u8(static_cast<std::uint8_t>(r.system));
-  w.u64(r.physical_messages);
-  w.f64(r.weighted_messages);
-  w.u64(r.physical_bytes);
-  w.f64(r.weighted_bytes);
-  w.u64(r.corrupted_source_lines);
-  w.u64(r.invalid_timestamp_lines);
-  w.u64(r.tagged_alerts.size());
-  for (const filter::Alert& a : r.tagged_alerts) {
-    w.i64(a.time);
-    w.u32(a.source);
-    w.u32(a.category);
-    w.u8(static_cast<std::uint8_t>(a.type));
-    w.u64(a.failure_id);
-    w.f64(a.weight);
-  }
-  w.u64(r.weighted_alert_counts.size());
-  for (const double v : r.weighted_alert_counts) w.f64(v);
-  w.u64(r.physical_alert_counts.size());
-  for (const std::uint64_t v : r.physical_alert_counts) w.u64(v);
-  w.u64(r.tagging.true_positives);
-  w.u64(r.tagging.false_positives);
-  w.u64(r.tagging.true_negatives);
-  w.u64(r.tagging.false_negatives);
-  w.i64(r.categories_observed);
-  w.u64(r.messages_by_source.size());
-  for (const auto& [name, weight] : r.messages_by_source) {
-    w.str(name);
-    w.f64(weight);
-  }
-  w.f64(r.corrupted_source_weight);
-}
-
-core::PipelineResult load_result(stream::CheckpointReader& r) {
-  core::PipelineResult out;
-  const std::uint8_t id = r.u8();
-  if (id >= parse::kNumSystems) {
-    throw std::runtime_error("partial: bad system id in result");
-  }
-  out.system = static_cast<parse::SystemId>(id);
-  out.physical_messages = r.u64();
-  out.weighted_messages = r.f64();
-  out.physical_bytes = r.u64();
-  out.weighted_bytes = r.f64();
-  out.corrupted_source_lines = r.u64();
-  out.invalid_timestamp_lines = r.u64();
-  const std::uint64_t num_alerts = r.u64();
-  if (num_alerts > (1ull << 40)) {
-    throw std::runtime_error("partial: implausible alert count");
-  }
-  out.tagged_alerts.reserve(num_alerts);
-  for (std::uint64_t i = 0; i < num_alerts; ++i) {
-    filter::Alert a;
-    a.time = r.i64();
-    a.source = r.u32();
-    a.category = static_cast<std::uint16_t>(r.u32());
-    a.type = static_cast<filter::AlertType>(r.u8());
-    a.failure_id = r.u64();
-    a.weight = r.f64();
-    out.tagged_alerts.push_back(a);
-  }
-  const std::uint64_t num_weighted = r.u64();
-  if (num_weighted > (1u << 20)) {
-    throw std::runtime_error("partial: implausible category count");
-  }
-  out.weighted_alert_counts.reserve(num_weighted);
-  for (std::uint64_t i = 0; i < num_weighted; ++i) {
-    out.weighted_alert_counts.push_back(r.f64());
-  }
-  const std::uint64_t num_physical = r.u64();
-  if (num_physical > (1u << 20)) {
-    throw std::runtime_error("partial: implausible category count");
-  }
-  out.physical_alert_counts.reserve(num_physical);
-  for (std::uint64_t i = 0; i < num_physical; ++i) {
-    out.physical_alert_counts.push_back(r.u64());
-  }
-  out.tagging.true_positives = r.u64();
-  out.tagging.false_positives = r.u64();
-  out.tagging.true_negatives = r.u64();
-  out.tagging.false_negatives = r.u64();
-  out.categories_observed = static_cast<int>(r.i64());
-  const std::uint64_t num_sources = r.u64();
-  if (num_sources > (1u << 24)) {
-    throw std::runtime_error("partial: implausible source count");
-  }
-  for (std::uint64_t i = 0; i < num_sources; ++i) {
-    std::string name = r.str();
-    const double weight = r.f64();
-    out.messages_by_source.emplace(std::move(name), weight);
-  }
-  out.corrupted_source_weight = r.f64();
-  return out;
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 void write_partial(const PartialFile& partial, const std::string& path) {
-  namespace fs = std::filesystem;
   std::error_code ec;
-  fs::create_directories(fs::path(path).parent_path(), ec);
-
-  std::string bytes = render_payload(partial);
-  const std::uint64_t payload_size = bytes.size();
-  append_u64(bytes, payload_size);
-  append_u64(bytes, fnv1a64(std::string_view(bytes.data(), payload_size)));
-  append_u32(bytes, kPartialEndMagic);
-
-  const std::string tmp = path + "." + partial.instance + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) throw std::runtime_error("partial: cannot open " + tmp);
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!os.flush()) throw std::runtime_error("partial: write failed: " + tmp);
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw std::runtime_error("partial: cannot publish " + path);
-  }
+  std::filesystem::create_directories(
+      std::filesystem::path(path).parent_path(), ec);
+  util::publish_file(
+      path, [&](std::ostream& os) { write_payload(os, partial); },
+      partial.instance);
 }
 
 PartialFile read_partial(const std::string& path) {
-  const std::string bytes = read_file(path);
-  if (bytes.size() < kTrailerSize) {
-    throw std::runtime_error("partial: " + path +
-                             ": truncated (no trailer)");
-  }
-  const char* trailer = bytes.data() + bytes.size() - kTrailerSize;
-  if (parse_u32(trailer + 16) != kPartialEndMagic) {
-    throw std::runtime_error("partial: " + path + ": bad trailer magic");
-  }
-  const std::uint64_t payload_size = parse_u64(trailer);
-  if (payload_size != bytes.size() - kTrailerSize) {
-    throw std::runtime_error(
-        util::format("partial: %s: size mismatch (trailer says %llu, file "
-                     "has %llu payload bytes)",
-                     path.c_str(),
-                     static_cast<unsigned long long>(payload_size),
-                     static_cast<unsigned long long>(bytes.size() -
-                                                     kTrailerSize)));
-  }
-  const std::uint64_t want = parse_u64(trailer + 8);
-  const std::uint64_t got =
-      fnv1a64(std::string_view(bytes.data(), payload_size));
-  if (want != got) {
-    throw std::runtime_error("partial: " + path + ": checksum mismatch");
-  }
   try {
-    return parse_payload(bytes.substr(0, payload_size));
+    return parse_payload(stream::open_envelope(
+        util::read_file(path), kPartialMagic, kPartialVersion, "partial"));
   } catch (const std::runtime_error& e) {
     throw std::runtime_error(path + ": " + e.what());
   }

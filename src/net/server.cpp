@@ -13,7 +13,6 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <optional>
 #include <ostream>
@@ -31,6 +30,7 @@
 #include "net/socket.hpp"
 #include "obs/export.hpp"
 #include "parse/record.hpp"
+#include "util/file.hpp"
 #include "util/strings.hpp"
 
 namespace wss::net {
@@ -1083,16 +1083,21 @@ struct Server::Impl {
       report.tenants.push_back(std::move(tr));
 
       if (!opts.checkpoint_dir.empty()) {
-        std::filesystem::create_directories(opts.checkpoint_dir);
         const std::string path =
             (std::filesystem::path(opts.checkpoint_dir) / (t->name() + ".ckpt"))
                 .string();
-        std::ofstream out(path, std::ios::binary);
-        if (out) {
-          t->save_checkpoint(out);
+        // One tenant's failed write (disk full, a directory in the way)
+        // must not cost the remaining tenants their close and drain.
+        try {
+          std::filesystem::create_directories(opts.checkpoint_dir);
+          util::publish_file(
+              path, [t](std::ostream& os) { t->save_checkpoint(os); });
           report.checkpoints.push_back(path);
-        } else if (opts.log != nullptr) {
-          *opts.log << "wss serve: cannot write checkpoint " << path << "\n";
+        } catch (const std::exception& e) {
+          if (opts.log != nullptr) {
+            *opts.log << "wss serve: cannot write checkpoint " << path << ": "
+                      << e.what() << "\n";
+          }
         }
       }
     }

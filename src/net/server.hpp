@@ -95,8 +95,9 @@ struct ServeOptions {
   /// at 8); explicit values are capped at 64.
   int loop_shards = 1;
 
-  /// Per-tenant checkpoints written here at drain (<dir>/<name>.ckpt);
-  /// empty disables.
+  /// Per-tenant checkpoints published here at drain (<dir>/<name>.ckpt);
+  /// empty disables. A tenant whose checkpoint cannot be written is
+  /// logged and skipped; the rest still drain.
   std::string checkpoint_dir;
 
   /// Re-export target for SIGHUP (and the CLI's exit export); empty
@@ -108,7 +109,8 @@ struct ServeOptions {
   bool watch_shutdown_signal = false;
 
   /// Diagnostics sink for non-fatal runtime events (HUP export
-  /// failures, protocol errors); null = silent.
+  /// failures, protocol errors, drain checkpoint failures); null =
+  /// silent.
   std::ostream* log = nullptr;
 };
 

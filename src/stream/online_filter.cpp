@@ -89,18 +89,12 @@ void OnlineSimultaneousFilter::load(CheckpointReader& r) {
   offered_ = r.u64();
   admitted_ = r.u64();
   evicted_entries_ = r.u64();
-  const std::uint64_t cats = r.u64();
-  if (cats > (1u << 20)) {
-    throw std::runtime_error("checkpoint: implausible category count");
-  }
+  const std::uint64_t cats = r.count(1u << 20, "category count");
   offered_by_cat_.assign(static_cast<std::size_t>(cats), 0);
   admitted_by_cat_.assign(static_cast<std::size_t>(cats), 0);
   for (auto& v : offered_by_cat_) v = r.u64();
   for (auto& v : admitted_by_cat_) v = r.u64();
-  const std::uint64_t n = r.u64();
-  if (n > (1u << 20)) {
-    throw std::runtime_error("checkpoint: implausible filter table size");
-  }
+  const std::uint64_t n = r.count(1u << 20, "filter table size");
   table_.assign(static_cast<std::size_t>(n), Entry{});
   for (Entry& e : table_) {
     e.epoch = r.u32();

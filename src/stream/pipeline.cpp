@@ -1,10 +1,12 @@
 #include "stream/pipeline.hpp"
 
 #include <chrono>
+#include <sstream>
 #include <stdexcept>
 
 #include "parse/dispatch.hpp"
 #include "sim/spec.hpp"
+#include "util/file.hpp"
 
 namespace wss::stream {
 
@@ -274,14 +276,18 @@ void StreamPipeline::save(std::ostream& os) {
 
   // v2: the obs registry's counter/gauge tables. Histograms and spans
   // measure this process's wall time and are deliberately absent.
-  write_counter_table(w, obs::registry().counter_values());
-  write_gauge_table(w, obs::registry().gauge_values());
+  write_metric_table(w, obs::registry().counter_values());
+  write_metric_table(w, obs::registry().gauge_values());
+  w.trailer();
   if (!w.ok()) throw std::runtime_error("checkpoint: write failed");
 }
 
 void StreamPipeline::restore(std::istream& is) {
-  CheckpointReader r(is);
-  r.header();
+  // Verify the whole file before the first field changes any state.
+  std::istringstream body(open_envelope(util::read_stream(is),
+                                        kCheckpointMagic, kCheckpointVersion,
+                                        "checkpoint"));
+  CheckpointReader r(body);
   const auto sys = static_cast<parse::SystemId>(r.u8());
   if (sys != system_) {
     throw std::runtime_error("checkpoint: system mismatch");
@@ -332,10 +338,7 @@ void StreamPipeline::restore(std::istream& is) {
   const int rollovers = static_cast<int>(r.u32());
   year_.restore(year, last_month, rollovers);
 
-  const std::uint64_t sources = r.u64();
-  if (sources > (1u << 24)) {
-    throw std::runtime_error("checkpoint: implausible source map size");
-  }
+  const std::uint64_t sources = r.count(1u << 24, "source map size");
   source_ids_.clear();
   for (std::uint64_t i = 0; i < sources; ++i) {
     std::string name = r.str();
@@ -346,10 +349,10 @@ void StreamPipeline::restore(std::istream& is) {
   // v2: restore the obs registry, then re-base the tag flusher on the
   // (transient, possibly non-zero) scratch so future flushes publish
   // only post-restore growth.
-  for (const auto& [name, value] : read_counter_table(r)) {
+  for (const auto& [name, value] : read_metric_table<std::uint64_t>(r)) {
     obs::registry().set_counter(name, value);
   }
-  for (const auto& [name, value] : read_gauge_table(r)) {
+  for (const auto& [name, value] : read_metric_table<std::int64_t>(r)) {
     obs::registry().set_gauge(name, value);
   }
   flusher_.rebase(scratch_);

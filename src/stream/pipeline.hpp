@@ -110,13 +110,18 @@ class StreamPipeline {
   /// Serializes the full engine state, including the obs registry's
   /// counter/gauge tables (checkpoint v2) -- restore-and-finish then
   /// reports the same --metrics counters as an uninterrupted run.
-  /// Publishes pending metric deltas first (hence non-const). Throws
-  /// std::runtime_error on a write failure.
+  /// Publishes pending metric deltas first (hence non-const). Writes
+  /// through to `os` (framed and checksummed, see checkpoint.hpp) and
+  /// never holds the checkpoint in memory. Throws std::runtime_error on
+  /// a write failure.
   void save(std::ostream& os);
 
   /// Restores a checkpoint written by save() for the same system.
-  /// Replaces options, all accumulator state, and the process-wide obs
-  /// counters/gauges; the sink is kept.
+  /// Reads `is` to its end and verifies the envelope (magic, version,
+  /// size, checksum) before parsing, so a torn, truncated or
+  /// bit-flipped file throws std::runtime_error before any state
+  /// changes. Replaces options, all accumulator state, and the
+  /// process-wide obs counters/gauges; the sink is kept.
   void restore(std::istream& is);
 
  private:

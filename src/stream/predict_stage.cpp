@@ -266,10 +266,7 @@ void PredictStage::load(CheckpointReader& r) {
   watermark_ = r.i64();
 
   training_.clear();
-  const std::uint64_t nt = r.u64();
-  if (nt > opts_.train_alerts) {
-    throw std::runtime_error("checkpoint: implausible training buffer size");
-  }
+  const std::uint64_t nt = r.count(opts_.train_alerts, "training buffer size");
   for (std::uint64_t i = 0; i < nt; ++i) {
     filter::Alert a;
     a.time = r.i64();
@@ -288,29 +285,20 @@ void PredictStage::load(CheckpointReader& r) {
   ensemble_->load_routing(r);
 
   seen_failures_.clear();
-  const std::uint64_t nf = r.u64();
-  if (nf > (1u << 24)) {
-    throw std::runtime_error("checkpoint: implausible failure map size");
-  }
+  const std::uint64_t nf = r.count(1u << 24, "failure map size");
   for (std::uint64_t i = 0; i < nf; ++i) {
     const std::uint64_t id = r.u64();
     seen_failures_[id] = r.i64();
   }
   gap_last_.clear();
-  const std::uint64_t ng = r.u64();
-  if (ng > (1u << 20)) {
-    throw std::runtime_error("checkpoint: implausible gap map size");
-  }
+  const std::uint64_t ng = r.count(1u << 20, "gap map size");
   for (std::uint64_t i = 0; i < ng; ++i) {
     const auto cat = static_cast<std::uint16_t>(r.u32());
     gap_last_[cat] = r.i64();
   }
 
   pending_.clear();
-  const std::uint64_t np = r.u64();
-  if (np > kMaxPending) {
-    throw std::runtime_error("checkpoint: implausible pending set size");
-  }
+  const std::uint64_t np = r.count(kMaxPending, "pending set size");
   for (std::uint64_t i = 0; i < np; ++i) {
     PendingPrediction pp;
     pp.p.issued_at = r.i64();

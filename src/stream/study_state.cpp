@@ -180,67 +180,6 @@ StreamSnapshot StreamStudyState::snapshot() const {
   return s;
 }
 
-void StreamStudyState::save_result(CheckpointWriter& w,
-                                   const core::PipelineResult& r) {
-  // tagged_alerts is intentionally not serialized: it is cleared at
-  // every chunk merge and no streaming output reads it.
-  w.u8(static_cast<std::uint8_t>(r.system));
-  w.u64(r.physical_messages);
-  w.f64(r.weighted_messages);
-  w.u64(r.physical_bytes);
-  w.f64(r.weighted_bytes);
-  w.u64(r.corrupted_source_lines);
-  w.u64(r.invalid_timestamp_lines);
-  w.u64(r.weighted_alert_counts.size());
-  for (const double v : r.weighted_alert_counts) w.f64(v);
-  for (const std::uint64_t v : r.physical_alert_counts) w.u64(v);
-  w.u64(r.tagging.true_positives);
-  w.u64(r.tagging.false_positives);
-  w.u64(r.tagging.true_negatives);
-  w.u64(r.tagging.false_negatives);
-  w.u64(r.messages_by_source.size());
-  for (const auto& [source, weight] : r.messages_by_source) {
-    w.str(source);
-    w.f64(weight);
-  }
-  w.f64(r.corrupted_source_weight);
-}
-
-void StreamStudyState::load_result(CheckpointReader& r,
-                                   core::PipelineResult& out) {
-  out.system = static_cast<parse::SystemId>(r.u8());
-  out.physical_messages = r.u64();
-  out.weighted_messages = r.f64();
-  out.physical_bytes = r.u64();
-  out.weighted_bytes = r.f64();
-  out.corrupted_source_lines = r.u64();
-  out.invalid_timestamp_lines = r.u64();
-  const std::uint64_t n = r.u64();
-  if (n > (1u << 20)) {
-    throw std::runtime_error("checkpoint: implausible category count");
-  }
-  out.weighted_alert_counts.assign(static_cast<std::size_t>(n), 0.0);
-  out.physical_alert_counts.assign(static_cast<std::size_t>(n), 0);
-  for (auto& v : out.weighted_alert_counts) v = r.f64();
-  for (auto& v : out.physical_alert_counts) v = r.u64();
-  out.tagging = {};
-  out.tagging.add(true, true, r.u64());
-  out.tagging.add(true, false, r.u64());
-  out.tagging.add(false, false, r.u64());
-  out.tagging.add(false, true, r.u64());
-  const std::uint64_t sources = r.u64();
-  if (sources > (1u << 24)) {
-    throw std::runtime_error("checkpoint: implausible source count");
-  }
-  out.messages_by_source.clear();
-  for (std::uint64_t i = 0; i < sources; ++i) {
-    std::string name = r.str();
-    out.messages_by_source[std::move(name)] = r.f64();
-  }
-  out.corrupted_source_weight = r.f64();
-  out.tagged_alerts.clear();
-}
-
 void StreamStudyState::save(CheckpointWriter& w) const {
   save_result(w, total_);
   save_result(w, partial_);
@@ -272,8 +211,8 @@ void StreamStudyState::save(CheckpointWriter& w) const {
 }
 
 void StreamStudyState::load(CheckpointReader& r) {
-  load_result(r, total_);
-  load_result(r, partial_);
+  total_ = load_result(r);
+  partial_ = load_result(r);
   events_in_partial_ = static_cast<std::size_t>(r.u64());
   events_ = r.u64();
   first_time_ = r.i64();
@@ -282,10 +221,7 @@ void StreamStudyState::load(CheckpointReader& r) {
   finished_ = r.boolean();
   has_ground_truth_ = r.boolean();
 
-  const std::uint64_t n = r.u64();
-  if (n > (1u << 20)) {
-    throw std::runtime_error("checkpoint: implausible filtered count size");
-  }
+  const std::uint64_t n = r.count(1u << 20, "filtered count size");
   filtered_counts_.assign(static_cast<std::size_t>(n), 0);
   for (auto& v : filtered_counts_) v = r.u64();
   for (int i = 0; i < 3; ++i) filtered_by_type_[i] = r.u64();

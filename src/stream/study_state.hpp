@@ -167,8 +167,6 @@ class StreamStudyState {
 
  private:
   void merge_open_chunk();
-  static void save_result(CheckpointWriter& w, const core::PipelineResult& r);
-  static void load_result(CheckpointReader& r, core::PipelineResult& out);
 
   parse::SystemId system_;
   StreamStudyOptions opts_;

@@ -191,8 +191,7 @@ std::string with_commas(std::int64_t v) {
   return out;
 }
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 0x100000001b3ull;

@@ -66,8 +66,13 @@ std::string replace_all(std::string_view s, std::string_view from,
 /// This is how the paper prints every count, so tables use it too.
 std::string with_commas(std::int64_t v);
 
-/// FNV-1a 64-bit hash; stable across platforms (used for dedup keys).
-std::uint64_t fnv1a(std::string_view s);
+/// FNV-1a 64-bit offset basis: the hash of the empty string.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64-bit hash; stable across platforms (used for dedup keys and
+/// persisted-file checksums). Passing the hash of a prefix as `h`
+/// continues it: fnv1a(b, fnv1a(a)) == fnv1a(a + b).
+std::uint64_t fnv1a(std::string_view s, std::uint64_t h = kFnv1aBasis);
 
 /// printf-style formatting into a std::string.
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

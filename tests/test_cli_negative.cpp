@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "cli/commands.hpp"
+#include "util/strings.hpp"
 
 namespace wss::cli {
 namespace {
@@ -249,6 +250,14 @@ TEST_F(CliNegativeTest, StreamRestoreRejectsFilterBlockThresholdMismatch) {
   ASSERT_EQ(bytes.find(t_bytes, filter_t + 1), std::string::npos)
       << "T appears more than twice; the filter block is ambiguous";
   bytes[filter_t] ^= 1;  // flip one bit of the filter block's T
+  // Re-seal the trailer checksum (the u64 before the 4-byte end magic)
+  // so the damaged copy gets past the envelope to load()'s check.
+  const std::size_t payload = bytes.size() - 20;
+  const std::uint64_t sum =
+      util::fnv1a(std::string_view(bytes.data(), payload));
+  for (int i = 0; i < 8; ++i) {
+    bytes[payload + 8 + i] = static_cast<char>(sum >> (8 * i));
+  }
   {
     std::ofstream os(ckpt, std::ios::binary | std::ios::trunc);
     os << bytes;
@@ -257,6 +266,32 @@ TEST_F(CliNegativeTest, StreamRestoreRejectsFilterBlockThresholdMismatch) {
                         "--chatter", "1000", "--restore", ckpt}),
             1);
   expect_one_line_error("restore failed: checkpoint: filter threshold");
+}
+
+TEST_F(CliNegativeTest, StreamRestoreRejectsFlippedPayloadByte) {
+  // A checkpoint is verified before it is trusted: one flipped bit in
+  // the middle of the payload is a checksum failure, not a silently
+  // different restored state.
+  const std::string ckpt = (dir_ / "state.ckpt").string();
+  ASSERT_EQ(run_tokens({"stream", "--system", "liberty", "--cap", "200",
+                        "--chatter", "1000", "--checkpoint", ckpt}),
+            0)
+      << err_.str();
+  std::string bytes;
+  {
+    std::ifstream is(ckpt, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_GT(bytes.size(), 100u);
+  bytes[bytes.size() / 2] ^= 0x10;
+  {
+    std::ofstream os(ckpt, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--cap", "200",
+                        "--chatter", "1000", "--restore", ckpt}),
+            1);
+  expect_one_line_error("checksum");
 }
 
 // ---- Distributed study commands (study --split-by, worker, merge) ----

@@ -270,13 +270,13 @@ TEST(DistSplitProperty, ChunkPartialSerializationRoundTripsBitExactly) {
   const auto encode = [](const core::PipelineResult& r) {
     std::ostringstream os(std::ios::binary);
     stream::CheckpointWriter w(os);
-    dist::save_result(w, r);
+    stream::save_result(w, r);
     return std::move(os).str();
   };
   const std::string bytes = encode(original);
   std::istringstream is(bytes, std::ios::binary);
   stream::CheckpointReader r(is);
-  const core::PipelineResult decoded = dist::load_result(r);
+  const core::PipelineResult decoded = stream::load_result(r);
   EXPECT_EQ(encode(decoded), bytes);
   EXPECT_EQ(decoded.physical_messages, original.physical_messages);
   EXPECT_EQ(decoded.tagged_alerts.size(), original.tagged_alerts.size());

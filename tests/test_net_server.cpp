@@ -7,6 +7,7 @@
 // delivered lines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -526,6 +527,52 @@ TEST_F(NetServerTest, DrainWritesCheckpointsLoadableByWssStream) {
       0)
       << err.str();
   EXPECT_NE(out.str().find("1"), std::string::npos);  // one event restored
+  fs::remove_all(dir);
+}
+
+TEST_F(NetServerTest, DrainSurvivesOneTenantsFailedCheckpoint) {
+  const fs::path dir = fs::temp_directory_path() /
+                       ("wss_net_ckpt_fail_" + std::to_string(::getpid()));
+  fs::create_directories(dir / "a.ckpt");  // a directory in the way
+
+  std::ostringstream log;
+  ServeOptions opts;
+  opts.tcp.push_back({0, "a"});
+  opts.tcp.push_back({0, "b"});
+  opts.tenants.push_back(tenant("a", parse::SystemId::kLiberty));
+  opts.tenants.push_back(tenant("b", parse::SystemId::kLiberty));
+  opts.checkpoint_dir = dir.string();
+  opts.log = &log;
+  start(std::move(opts));
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    SinkOptions sopts;
+    sopts.endpoint = {Transport::kTcp, "127.0.0.1", server_->tcp_port(i)};
+    SinkClient client(sopts);
+    client.send(0, "checkpointed line");
+    client.close();
+  }
+  wait_status_contains("\"name\":\"a\",\"system\":\"liberty\",\"delivered\":1");
+  wait_status_contains("\"name\":\"b\",\"system\":\"liberty\",\"delivered\":1");
+
+  // Tenant "a" drains first (name order); its failure is one log line
+  // and tenant "b" still gets its close, report and checkpoint.
+  const ServeReport report = stop();
+  ASSERT_EQ(report.tenants.size(), 2u);
+  const std::string text = log.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+  EXPECT_NE(text.find("wss serve: cannot write checkpoint " +
+                      (dir / "a.ckpt").string() + ": "),
+            std::string::npos)
+      << text;
+  ASSERT_EQ(report.checkpoints.size(), 1u);
+  EXPECT_EQ(fs::path(report.checkpoints[0]).filename().string(), "b.ckpt");
+  EXPECT_TRUE(fs::is_directory(dir / "a.ckpt"));
+
+  std::ifstream is(report.checkpoints[0], std::ios::binary);
+  stream::StreamPipeline restored(parse::SystemId::kLiberty);
+  restored.restore(is);
+  EXPECT_EQ(restored.events(), 1u);
   fs::remove_all(dir);
 }
 

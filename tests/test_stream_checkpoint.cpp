@@ -4,11 +4,17 @@
 // emitted alert sequence, everything.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "sim/generator.hpp"
 #include "stream/pipeline.hpp"
+#include "stream/report.hpp"
+#include "util/file.hpp"
 
 namespace wss {
 namespace {
@@ -265,23 +271,30 @@ TEST(StreamCheckpoint, RejectsV2WithUpgradeDiagnostic) {
   stream::StreamPipeline p(parse::SystemId::kLiberty);
   std::stringstream checkpoint;
   p.save(checkpoint);
-  std::string bytes = checkpoint.str();
+  const std::string current = checkpoint.str();
   // The header is magic(u32 LE) then version(u32 LE): rewrite the
-  // version field to 2, as a pre-prediction build would have written.
-  ASSERT_GE(bytes.size(), 8u);
-  bytes[4] = 2;
-  bytes[5] = bytes[6] = bytes[7] = 0;
-  std::stringstream v2(bytes);
-  stream::StreamPipeline q(parse::SystemId::kLiberty);
-  try {
-    q.restore(v2);
-    FAIL() << "v2 checkpoint was accepted";
-  } catch (const std::runtime_error& e) {
-    // One line, names the version AND the cure.
-    const std::string what = e.what();
-    EXPECT_NE(what.find("unsupported version 2"), std::string::npos) << what;
-    EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
-    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  // version field as a pre-prediction build (v2) or a pre-envelope
+  // build (v3) would have written it.
+  ASSERT_GE(current.size(), 8u);
+  for (const int version : {2, 3}) {
+    SCOPED_TRACE(testing::Message() << "version " << version);
+    std::string bytes = current;
+    bytes[4] = static_cast<char>(version);
+    bytes[5] = bytes[6] = bytes[7] = 0;
+    std::stringstream old(bytes);
+    stream::StreamPipeline q(parse::SystemId::kLiberty);
+    try {
+      q.restore(old);
+      FAIL() << "v" << version << " checkpoint was accepted";
+    } catch (const std::runtime_error& e) {
+      // One line, names the version AND the cure.
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unsupported version " + std::to_string(version)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
   }
 }
 
@@ -301,6 +314,106 @@ TEST(StreamCheckpoint, RejectsTruncatedCheckpoint) {
   std::stringstream cut(full.substr(0, full.size() / 2));
   stream::StreamPipeline q(parse::SystemId::kLiberty);
   EXPECT_THROW(q.restore(cut), std::runtime_error);
+}
+
+/// A mid-stream Liberty checkpoint with live prediction state: the
+/// largest and most varied payload the engine writes.
+std::string predict_checkpoint(stream::StreamPipeline& p) {
+  sim::SimOptions opts;
+  opts.category_cap = 900;
+  opts.chatter_events = 4000;
+  const sim::Simulator simulator(parse::SystemId::kLiberty, opts);
+  const auto& events = simulator.events();
+  for (std::size_t i = 0; i < events.size() / 2 + 137; ++i) {
+    p.ingest(events[i], simulator.renderer().render(events[i], i));
+  }
+  std::stringstream checkpoint;
+  p.save(checkpoint);
+  return checkpoint.str();
+}
+
+stream::StreamPipelineOptions predict_options() {
+  stream::StreamPipelineOptions popts;
+  popts.predict.enabled = true;
+  popts.predict.train_alerts = 100;
+  return popts;
+}
+
+TEST(StreamCheckpoint, EveryFlippedBitAndTruncationIsRejected) {
+  stream::StreamPipeline p(parse::SystemId::kLiberty, predict_options());
+  const std::string good = predict_checkpoint(p);
+  constexpr std::size_t kHeader = stream::kEnvelopeHeaderSize;
+  constexpr std::size_t kTrailer = stream::kEnvelopeTrailerSize;
+  ASSERT_GT(good.size(), 1000u);
+
+  stream::StreamPipeline q(parse::SystemId::kLiberty, predict_options());
+  const auto expect_rejected = [&](const std::string& bytes,
+                                   const std::string& what) {
+    std::stringstream is(bytes);
+    EXPECT_THROW(q.restore(is), std::runtime_error) << what;
+  };
+  const auto flipped = [&](std::size_t off, int bit) {
+    std::string bytes = good;
+    bytes[off] = static_cast<char>(bytes[off] ^ (1 << bit));
+    return bytes;
+  };
+
+  for (std::size_t off = 0; off < kHeader; ++off) {
+    expect_rejected(flipped(off, static_cast<int>(off % 8)),
+                    "header byte " + std::to_string(off));
+  }
+  for (std::size_t off = good.size() - kTrailer; off < good.size(); ++off) {
+    expect_rejected(flipped(off, static_cast<int>(off % 8)),
+                    "trailer byte " + std::to_string(off));
+  }
+  const std::size_t payload = good.size() - kHeader - kTrailer;
+  constexpr std::size_t kSamples = 200;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    const std::size_t off = kHeader + i * (payload - 1) / (kSamples - 1);
+    expect_rejected(flipped(off, static_cast<int>(i % 8)),
+                    "payload byte " + std::to_string(off));
+  }
+  for (const std::size_t len :
+       {std::size_t{0}, std::size_t{4}, kHeader, kHeader + kTrailer - 1,
+        good.size() / 2, good.size() - kTrailer, good.size() - 1}) {
+    expect_rejected(good.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  // A rejected restore changed nothing: q is still a fresh engine.
+  EXPECT_EQ(q.events(), 0u);
+
+  std::stringstream intact(good);
+  q.restore(intact);
+  EXPECT_EQ(q.events(), p.events());
+}
+
+TEST(StreamCheckpoint, FailedPublishLeavesPreviousCheckpointRestorable) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("wss_ckpt_publish_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  stream::StreamPipeline p(parse::SystemId::kLiberty, predict_options());
+  predict_checkpoint(p);
+  util::publish_file(path, [&](std::ostream& os) { p.save(os); });
+  const std::string report = stream::render_snapshot(p.snapshot());
+  const std::string before = util::read_file(path);
+
+  // A later save dies halfway through its write (disk full, killed).
+  std::stringstream later;
+  p.save(later);
+  const std::string half = later.str().substr(0, later.str().size() / 2);
+  EXPECT_THROW(util::publish_file(path,
+                                  [&](std::ostream& os) {
+                                    os << half;
+                                    throw std::runtime_error("disk full");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(util::read_file(path), before);
+
+  stream::StreamPipeline resumed(parse::SystemId::kLiberty);
+  std::ifstream is(path, std::ios::binary);
+  resumed.restore(is);
+  EXPECT_EQ(stream::render_snapshot(resumed.snapshot()), report);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
