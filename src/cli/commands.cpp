@@ -35,6 +35,7 @@
 #include "net/signal.hpp"
 #include "net/url.hpp"
 #include "sim/replay.hpp"
+#include "stream/file_ingest.hpp"
 #include "stream/pipeline.hpp"
 #include "stream/report.hpp"
 #include "stream/source.hpp"
@@ -295,7 +296,8 @@ void print_usage(std::ostream& os) {
         "             --system NAME; source: simulated replay (default;\n"
         "             [--seed N] [--cap N] [--chatter N] [--speed N]) or\n"
         "             --in PATH (parsed log, [--year Y]; '-' = stdin,\n"
-        "             read to EOF first; never drops a line)\n"
+        "             read to EOF first; never drops a line;\n"
+        "             [--threads N|auto] parse+tag threads, default auto)\n"
         "             [--threshold SEC] [--window SEC] [--refresh N]\n"
         "             [--queue N] [--policy block|drop-oldest]  bound\n"
         "             and overflow policy of the simulated source's ring\n"
@@ -738,6 +740,16 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
            "checkpoint would overwrite the state being restored)\n";
     return 2;
   }
+  // File mode parses and tags on a pool; the simulated source has one
+  // engine thread. Default: all cores.
+  int threads = 0;
+  if (args.has("threads")) {
+    if (!in_path) {
+      err << "--threads applies to --in only\n";
+      return 2;
+    }
+    if (!parse_threads_flag(args, err, threads)) return 2;
+  }
   stream::PredictOptions predict;
   if (!parse_predict_flags(args, err, predict)) return 2;
   std::optional<std::string> metrics;
@@ -799,7 +811,7 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
   bool truncated = false;
 
   // Only the simulated source has a producer thread and a ring between
-  // it and the engine; file mode ingests in place and never drops.
+  // it and the engine; file mode (stream::ingest_file) never drops.
   std::optional<stream::IngestRing> ring;
   const auto dropped = [&ring] { return ring ? ring->dropped() : 0; };
 
@@ -871,32 +883,26 @@ int cmd_stream(const Args& args, std::ostream& out, std::ostream& err) {
       }
       producer.join();
     } else {
-      // File source: line-delimited log, optionally stdin ("-"), held
-      // whole in memory -- InputBuffer mmaps plain files (WSS_MMAP=0
-      // forces the read() path) and reads pipes to EOF -- so the
-      // engine ingests views into it directly, with getline semantics.
-      const logio::InputBuffer input = *in_path == "-"
-                                           ? logio::InputBuffer::from_fd(0)
-                                           : logio::InputBuffer::open(*in_path);
-      const std::string_view text = input.view();
-      const char* p = text.data();
-      const char* const end = p + text.size();
-      std::uint64_t index = 0;
-      while (p != end) {
-        const char* nl = simd::find_byte(p, end, '\n');
-        const std::string_view line(p, static_cast<std::size_t>(nl - p));
-        p = nl == end ? end : nl + 1;
-        if (index++ < resume) continue;  // checkpoint resume skip
-        pipeline.ingest_line(line);
-        ++ingested;
-        tick();
-        if (drain.stopped() ||
-            (max_events > 0 &&
-             ingested >= static_cast<std::uint64_t>(max_events))) {
-          truncated = true;
-          break;
-        }
+      // File source: line-delimited log, optionally stdin ("-"),
+      // parsed and tagged on a pool and applied in file order.
+      logio::InputBuffer input = *in_path == "-"
+                                     ? logio::InputBuffer::from_fd(0)
+                                     : logio::InputBuffer::open(*in_path);
+      stream::FileIngestOptions fopts;
+      fopts.threads = threads;
+      fopts.skip_lines = resume;
+      fopts.max_lines = static_cast<std::uint64_t>(max_events);
+      fopts.stop = [&drain] { return drain.stopped(); };
+      if (refresh > 0) {
+        fopts.on_applied = [&](std::uint64_t applied) {
+          ingested = applied;
+          tick();
+        };
       }
+      const stream::FileIngestResult r =
+          stream::ingest_file(pipeline, input, fopts);
+      ingested = r.applied;
+      truncated = r.truncated;
     }
   } catch (const std::exception& e) {
     if (producer.joinable()) {

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -54,11 +55,13 @@ InputBuffer& InputBuffer::operator=(InputBuffer&& other) noexcept {
   owned_ = std::move(other.owned_);
   map_ = other.map_;
   map_len_ = other.map_len_;
+  released_ = other.released_;
   source_ = other.source_;
   other.data_ = "";
   other.size_ = 0;
   other.map_ = nullptr;
   other.map_len_ = 0;
+  other.released_ = 0;
   // owned_ may have moved out from under other.data_; re-point at the
   // (possibly SSO-relocated) storage.
   if (source_ != Source::kMmap && !owned_.empty()) {
@@ -70,6 +73,17 @@ InputBuffer& InputBuffer::operator=(InputBuffer&& other) noexcept {
 
 InputBuffer::~InputBuffer() {
   if (map_ != nullptr) ::munmap(map_, map_len_);
+}
+
+void InputBuffer::release_before(std::size_t offset) {
+  if (map_ == nullptr) return;
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t end = std::min(offset, map_len_) / page * page;
+  if (end <= released_) return;
+  // Advisory: a refusal only leaves the pages resident.
+  ::madvise(static_cast<char*>(map_) + released_, end - released_,
+            MADV_DONTNEED);
+  released_ = end;
 }
 
 InputBuffer InputBuffer::from_string(std::string text) {

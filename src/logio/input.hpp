@@ -54,12 +54,22 @@ class InputBuffer {
   }
   Source source() const { return source_; }
 
+  /// Gives back the mapped pages that lie wholly before byte `offset`
+  /// (madvise MADV_DONTNEED), for a reader done with that prefix: a
+  /// front-to-back pass then keeps only a window of the file resident,
+  /// not all of it. Content never changes -- a released page that is
+  /// read again faults back in from the file. Monotone (an offset at
+  /// or behind an earlier one does nothing) and a no-op for kRead and
+  /// kDecompressed buffers, whose bytes have no file to come back from.
+  void release_before(std::size_t offset);
+
  private:
   const char* data_ = "";
   std::size_t size_ = 0;
   std::string owned_;        ///< backing store for kRead/kDecompressed
   void* map_ = nullptr;      ///< mmap base for kMmap
   std::size_t map_len_ = 0;  ///< mmap length (page-rounded source size)
+  std::size_t released_ = 0;  ///< mapped bytes already given back
   Source source_ = Source::kRead;
 };
 

@@ -27,7 +27,8 @@ LogRecord parse_line(SystemId system, std::string_view line, int base_year);
 
 /// Same result, written into `rec` (capacity-reusing: rec.reset() +
 /// assign, never fresh strings). The hot-path form under
-/// logio::read_log and the stream pipeline.
+/// logio::read_log and StreamPipeline::prepare (every file-mode
+/// stream line, serve tenants included).
 void parse_line_into(SystemId system, std::string_view line, int base_year,
                      LogRecord& rec, ParseScratch& scratch);
 

@@ -62,6 +62,14 @@ void StreamStudyState::on_event(const sim::SimEvent& e,
   if (events_in_partial_ >= opts_.chunk_events) merge_open_chunk();
 }
 
+std::string_view StreamStudyState::frozen_compression_sample() const {
+  if (!opts_.capture_compression_sample ||
+      sampled_lines_ < kCompressionSampleLines) {
+    return {};
+  }
+  return compression_sample_;
+}
+
 void StreamStudyState::on_filter_verdict(const filter::Alert& a,
                                          bool admitted) {
   ++alerts_offered_;

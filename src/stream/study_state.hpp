@@ -159,6 +159,20 @@ class StreamStudyState {
   util::TimeUs watermark() const { return watermark_; }
   const StreamStudyOptions& options() const { return opts_; }
 
+  /// The Table 2 compression sample once it is complete (it never
+  /// changes again), else empty. The view lives until the state is
+  /// next restored or reassigned.
+  std::string_view frozen_compression_sample() const;
+
+  /// Seeds the snapshot's compression cache with `fraction`, the
+  /// compress::compression_fraction of a sample of `sample_bytes`
+  /// computed off the engine thread. Logically const: snapshot() would
+  /// compute the same value itself.
+  void prime_compression_cache(std::size_t sample_bytes,
+                               double fraction) const {
+    compression_cache_ = {sample_bytes, fraction};
+  }
+
   void mark_no_ground_truth() { has_ground_truth_ = false; }
   bool has_ground_truth() const { return has_ground_truth_; }
 

@@ -99,6 +99,17 @@ TEST_F(CliNegativeTest, ThreadsNonNumericRejected) {
   expect_one_line_error("'two' is not a thread count");
 }
 
+TEST_F(CliNegativeTest, StreamThreadsNeedsFileSource) {
+  // The simulated source has one engine thread; only --in has a pool.
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--threads", "2"}),
+            2);
+  expect_one_line_error("--threads applies to --in only");
+  EXPECT_EQ(run_tokens({"stream", "--system", "liberty", "--in", "-",
+                        "--threads", "0"}),
+            2);
+  expect_one_line_error("--threads must be >= 1");
+}
+
 TEST_F(CliNegativeTest, ThreadsAutoAccepted) {
   // Positive control: the documented spelling for "all cores" works.
   EXPECT_EQ(run_tokens({"study", "--system", "liberty", "--threads", "auto",

@@ -199,6 +199,46 @@ TEST(LogioInput, WscFilesDecompressToIdenticalBytes) {
   EXPECT_EQ(read_digest(dir.file("log.wsc")), read_digest(dir.file("log.txt")));
 }
 
+TEST(LogioInput, ReleasedPagesKeepEveryByteReadable) {
+  const TempDir dir;
+  std::string text;
+  while (text.size() < 64 * 1024) text += sample_log();
+  write_file(dir.file("log.txt"), text);
+  InputBuffer b = InputBuffer::open(dir.file("log.txt"));
+  ASSERT_EQ(b.source(), InputBuffer::Source::kMmap);
+  const char* const data = b.view().data();
+
+  // A cut mid-page and mid-line: whole pages before it go, the bytes
+  // from the cut on are untouched, and a released page reads back from
+  // the file.
+  const std::size_t cut = text.size() / 2 + 123;
+  b.release_before(cut);
+  EXPECT_EQ(b.view().data(), data);
+  EXPECT_EQ(b.view().substr(cut), std::string_view(text).substr(cut));
+  b.release_before(cut / 2);  // behind the last release: no-op
+  b.release_before(text.size() + 4096);  // past the end: clamps
+  EXPECT_EQ(b.view(), text);
+}
+
+TEST(LogioInput, ReleaseIsANoOpForOwnedBuffers) {
+  const TempDir dir;
+  MmapGuard guard;
+  const std::string text = sample_log();
+  write_file(dir.file("log.txt"), text);
+  write_file(dir.file("log.wsc"), compress::compress(text));
+  guard.disable();
+  InputBuffer read = InputBuffer::open(dir.file("log.txt"));
+  InputBuffer decompressed = InputBuffer::open(dir.file("log.wsc"));
+  ASSERT_EQ(read.source(), InputBuffer::Source::kRead);
+  ASSERT_EQ(decompressed.source(), InputBuffer::Source::kDecompressed);
+  for (InputBuffer* b : {&read, &decompressed}) {
+    const char* const data = b->view().data();
+    b->release_before(text.size());
+    EXPECT_EQ(b->view().data(), data);
+    EXPECT_EQ(b->view(), text);
+  }
+}
+
 TEST(LogioInput, MissingFileThrows) {
   EXPECT_THROW(InputBuffer::open("/nonexistent/definitely/missing.log"),
                std::runtime_error);

@@ -159,7 +159,8 @@ TEST_F(NetServerTest, TcpPortKeyedListenerTakesDataFromByteOne) {
   wait_status_contains(
       "\"name\":\"fixed\",\"system\":\"liberty\",\"delivered\":2");
 
-  const ServeTenantReport* t = find_tenant(stop(), "fixed");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "fixed");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 2u);
   EXPECT_EQ(t->ingested, 2u);
@@ -183,7 +184,8 @@ TEST_F(NetServerTest, LenPrefixHandshakeSwitchesDecoder) {
   wait_status_contains(
       "\"name\":\"lenf\",\"system\":\"liberty\",\"delivered\":2");
 
-  const ServeTenantReport* t = find_tenant(stop(), "lenf");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "lenf");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 2u);
   EXPECT_EQ(t->ingested, 2u);
@@ -205,7 +207,8 @@ TEST_F(NetServerTest, UdpDatagramIngest) {
   }
   wait_status_contains("\"name\":\"u\",\"system\":\"liberty\",\"delivered\":4");
 
-  const ServeTenantReport* t = find_tenant(stop(), "u");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "u");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 4u);
   EXPECT_EQ(t->dropped, 0u);
@@ -231,7 +234,8 @@ TEST_F(NetServerTest, StalledTenantDropsAreAccountedNeverSilent) {
   wait_status_contains(
       "\"name\":\"stall\",\"system\":\"liberty\",\"delivered\":200");
 
-  const ServeTenantReport* t = find_tenant(stop(), "stall");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "stall");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 200u);
   EXPECT_GT(t->dropped, 0u);
@@ -259,7 +263,8 @@ TEST_F(NetServerTest, TcpBackpressurePausesInsteadOfDropping) {
   wait_status_contains(
       "\"name\":\"slowtcp\",\"system\":\"liberty\",\"delivered\":500");
 
-  const ServeTenantReport* t = find_tenant(stop(), "slowtcp");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "slowtcp");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 500u);
   EXPECT_EQ(t->dropped, 0u) << "TCP into a full ring must pause, not evict";

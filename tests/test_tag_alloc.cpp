@@ -32,6 +32,12 @@ namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
 
+// Every replacement operator delete releases through this one
+// out-of-line call. Were free() inlined into a delete, GCC would pair
+// it with the operator new it can see at the call site and report a
+// (false) -Wmismatched-new-delete.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -45,11 +51,9 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 
 namespace wss::tag {
 namespace {
