@@ -14,13 +14,17 @@
 
 namespace wss::core {
 
+int resolve_threads(int requested) {
+  if (requested > 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
 ParallelPipeline::ParallelPipeline(PipelineOptions options)
     : options_(options) {}
 
 int ParallelPipeline::resolved_threads() const {
-  if (options_.num_threads > 0) return options_.num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return resolve_threads(options_.num_threads);
 }
 
 PipelineResult ParallelPipeline::run(const sim::Simulator& simulator) const {

@@ -22,6 +22,10 @@
 
 namespace wss::core {
 
+/// A thread-count option resolved: `requested` if positive, else the
+/// hardware concurrency, else 1.
+int resolve_threads(int requested);
+
 /// Runs the pipeline across a thread pool. Stateless apart from its
 /// options; a single instance may be reused for many runs.
 class ParallelPipeline {

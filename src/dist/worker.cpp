@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "dist/claim.hpp"
 #include "dist/partial.hpp"
 #include "obs/metrics.hpp"
@@ -37,12 +38,6 @@ struct Job {
   std::size_t work = 0;
   std::size_t pos = 0;
 };
-
-int resolved_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 }  // namespace
 
@@ -122,7 +117,7 @@ WorkerReport run_worker(const StudyManifest& manifest,
   }
 
   const int workers =
-      std::min<int>(resolved_threads(opts.threads),
+      std::min<int>(core::resolve_threads(opts.threads),
                     static_cast<int>(std::max<std::size_t>(jobs.size(), 1)));
   std::mutex heartbeat_mu;
   const auto process_job = [&](const Job& job,

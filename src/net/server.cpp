@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/parallel.hpp"
 #include "net/framing.hpp"
 #include "net/http.hpp"
 #include "net/signal.hpp"
@@ -344,10 +345,7 @@ struct Server::Impl {
   }
 
   static int resolve_shard_count(int requested) {
-    if (requested == 0) {
-      const unsigned hw = std::thread::hardware_concurrency();
-      return static_cast<int>(std::min(hw == 0 ? 1u : hw, 8u));
-    }
+    if (requested == 0) return std::min(core::resolve_threads(0), 8);
     return std::min(std::max(requested, 1), 64);
   }
 
