@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/span.hpp"
-#include "parse/dispatch.hpp"
 #include "tag/metrics.hpp"
 #include "tag/rulesets.hpp"
 
@@ -33,7 +32,8 @@ PipelineResult make_partial(const ChunkContext& ctx) {
 
 void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
                   std::string_view line, PipelineResult& r,
-                  match::MatchScratch& scratch) {
+                  match::MatchScratch& scratch, parse::ParseScratch& pscratch,
+                  parse::LogRecord& rec) {
   PipelineCounters& obs = PipelineCounters::get();
   obs.events.inc();
   obs.bytes.inc(line.size() + 1);
@@ -44,8 +44,8 @@ void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
 
   // Parse. The year hint follows the event's own year; a real reader
   // would advance it at log rollover boundaries.
-  const parse::LogRecord rec =
-      parse::parse_line(ctx.system, line, util::to_civil(e.time).year);
+  parse::parse_line_into(ctx.system, line, util::to_civil(e.time).year, rec,
+                         pscratch);
   if (rec.source_corrupted) {
     ++r.corrupted_source_lines;
     obs.corrupted_sources.inc();
@@ -88,10 +88,14 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
                              std::size_t end, match::MatchScratch& scratch) {
   const sim::Simulator& simulator = *ctx.simulator;
   PipelineResult r = make_partial(ctx);
+  const sim::Renderer& renderer = simulator.renderer();
   const auto& events = simulator.events();
+  std::string line;
+  parse::ParseScratch pscratch;
+  parse::LogRecord rec;
   for (std::size_t i = begin; i < end; ++i) {
-    process_line(ctx, events[i], simulator.renderer().render(events[i], i), r,
-                 scratch);
+    renderer.render_into(line, events[i], i);
+    process_line(ctx, events[i], line, r, scratch, pscratch, rec);
   }
   return r;
 }

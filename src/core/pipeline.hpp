@@ -25,6 +25,7 @@
 #include "filter/alert.hpp"
 #include "match/scratch.hpp"
 #include "obs/metrics.hpp"
+#include "parse/dispatch.hpp"
 #include "sim/generator.hpp"
 #include "tag/engine.hpp"
 #include "tag/evaluate.hpp"
@@ -114,15 +115,20 @@ PipelineResult make_partial(const ChunkContext& ctx);
 /// per-event semantics of the pipeline -- process_chunk and the online
 /// stream::StreamPipeline both call it, which is what makes their
 /// outputs bit-identical on the same (event, line) sequence.
-/// `scratch` is the caller-owned per-thread matching scratch, reused
-/// across lines so the steady-state tag path never allocates.
+/// `scratch`, `pscratch` and `rec` are caller-owned and reused across
+/// lines (the line is parsed into `rec`), so the steady-state parse and
+/// tag path never allocates.
 void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
                   std::string_view line, PipelineResult& r,
-                  match::MatchScratch& scratch);
+                  match::MatchScratch& scratch, parse::ParseScratch& pscratch,
+                  parse::LogRecord& rec);
 
 /// Reduces events [begin, end) to a partial result. Pure function of
 /// its arguments; safe to call concurrently for disjoint ranges with
-/// distinct scratches (ParallelPipeline keeps one per worker).
+/// distinct scratches (ParallelPipeline keeps one per worker). Each
+/// line is rendered into one buffer and parsed into one record, both
+/// owned by the call, so the per-line loop allocates nothing once they
+/// have grown.
 PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
                              std::size_t end, match::MatchScratch& scratch);
 

@@ -42,12 +42,13 @@ WriteResult write_log(const sim::Simulator& simulator,
   if (opts.per_source_dirs) {
     // syslog-ng layout: one subdirectory per source node.
     std::map<std::uint32_t, std::string> per_source;
-    for (std::size_t i = 0; i < simulator.events().size(); ++i) {
-      auto& text = per_source[simulator.events()[i].source];
-      text.append(simulator.line(i));
+    const auto& events = simulator.events();
+    simulator.for_each_line([&](std::string_view line) {
+      auto& text = per_source[events[result.lines].source];
+      text.append(line);
       text.push_back('\n');
       ++result.lines;
-    }
+    });
     for (const auto& [source, text] : per_source) {
       const auto dir = path / simulator.namer().name(source);
       std::filesystem::create_directories(dir);
@@ -57,11 +58,11 @@ WriteResult write_log(const sim::Simulator& simulator,
   }
 
   std::string text;
-  for (std::size_t i = 0; i < simulator.events().size(); ++i) {
-    text.append(simulator.line(i));
+  simulator.for_each_line([&](std::string_view line) {
+    text.append(line);
     text.push_back('\n');
     ++result.lines;
-  }
+  });
   if (path.has_parent_path()) {
     std::filesystem::create_directories(path.parent_path());
   }

@@ -68,11 +68,12 @@ std::size_t timestamp_len(tag::LogPath path) {
 
 }  // namespace
 
-std::string CorruptionInjector::apply(std::string line,
-                                      std::uint64_t event_index,
-                                      tag::LogPath path, bool is_alert) const {
-  if (is_alert && cfg_.alerts_exempt) return line;
-  if (line.empty()) return line;
+void CorruptionInjector::apply_in_place(std::string& line,
+                                        std::uint64_t event_index,
+                                        tag::LogPath path,
+                                        bool is_alert) const {
+  if (is_alert && cfg_.alerts_exempt) return;
+  if (line.empty()) return;
   util::Rng rng(seed_ ^ (event_index * 0x9e3779b97f4a7c15ull) ^
                 0x7f4a7c15ull);
 
@@ -107,7 +108,6 @@ std::string CorruptionInjector::apply(std::string line,
     line.append(kSpliceFragments[rng.uniform_u64(
         sizeof(kSpliceFragments) / sizeof(kSpliceFragments[0]))]);
   }
-  return line;
 }
 
 }  // namespace wss::sim

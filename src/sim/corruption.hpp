@@ -40,11 +40,18 @@ class CorruptionInjector {
   CorruptionInjector(CorruptionConfig cfg, std::uint64_t seed)
       : cfg_(cfg), seed_(seed) {}
 
-  /// Possibly corrupts `line`. `event_index` makes the decision
-  /// deterministic; `path` locates the timestamp/source fields;
-  /// `is_alert` honours alerts_exempt.
+  /// Possibly corrupts `line` in place. `event_index` makes the
+  /// decision deterministic; `path` locates the timestamp/source
+  /// fields; `is_alert` honours alerts_exempt.
+  void apply_in_place(std::string& line, std::uint64_t event_index,
+                      tag::LogPath path, bool is_alert) const;
+
+  /// Same, on a copy.
   std::string apply(std::string line, std::uint64_t event_index,
-                    tag::LogPath path, bool is_alert) const;
+                    tag::LogPath path, bool is_alert) const {
+    apply_in_place(line, event_index, path, is_alert);
+    return line;
+  }
 
   const CorruptionConfig& config() const { return cfg_; }
 

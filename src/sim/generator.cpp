@@ -103,8 +103,10 @@ void Simulator::for_each_line_in(
     std::size_t begin, std::size_t end,
     const std::function<void(std::string_view)>& fn) const {
   end = std::min(end, events_.size());
+  std::string line;  // one buffer, reused for every line
   for (std::size_t i = begin; i < end; ++i) {
-    fn(renderer_->render(events_[i], i));
+    renderer_->render_into(line, events_[i], i);
+    fn(line);
   }
 }
 

@@ -54,10 +54,9 @@ tag::LogPath Renderer::path_of(const SimEvent& e) const {
   return chatter_templates(spec_->id).at(e.chatter_kind).path;
 }
 
-std::string Renderer::expand(std::string_view tmpl, const SimEvent& e,
-                             util::Rng& rng) const {
-  std::string out;
-  out.reserve(tmpl.size() + 16);
+void Renderer::append_body(std::string& out, std::string_view tmpl,
+                           const SimEvent& e, const util::CivilTime& ct,
+                           util::Rng& rng) const {
   for (std::size_t i = 0; i < tmpl.size();) {
     if (tmpl[i] != '{') {
       out.push_back(tmpl[i]);
@@ -71,31 +70,39 @@ std::string Renderer::expand(std::string_view tmpl, const SimEvent& e,
     }
     const std::string_view key = tmpl.substr(i + 1, close - i - 1);
     if (key == "n") {
-      out.append(std::to_string(rng.uniform_i64(1, 9999)));
+      util::append_decimal(
+          out, static_cast<std::uint64_t>(rng.uniform_i64(1, 9999)));
     } else if (key == "ip") {
-      out.append(util::format("10.%d.%d.%d",
-                              static_cast<int>(rng.uniform_i64(0, 3)),
-                              static_cast<int>(rng.uniform_i64(0, 255)),
-                              static_cast<int>(rng.uniform_i64(1, 254))));
+      // Last octet first. The pinned bytes come from these three draws
+      // as the arguments of one call, which C++ leaves unordered and
+      // gcc evaluates right to left; named locals fix that order on
+      // every compiler.
+      const auto d = static_cast<std::uint64_t>(rng.uniform_i64(1, 254));
+      const auto c = static_cast<std::uint64_t>(rng.uniform_i64(0, 255));
+      const auto b = static_cast<std::uint64_t>(rng.uniform_i64(0, 3));
+      out.append("10.");
+      util::append_decimal(out, b);
+      out.push_back('.');
+      util::append_decimal(out, c);
+      out.push_back('.');
+      util::append_decimal(out, d);
     } else if (key == "hex") {
-      out.append(util::format("%016llx",
-                              static_cast<unsigned long long>(rng())));
+      util::append_hex(out, rng(), 16);
     } else if (key == "path") {
       out.append(kPaths[rng.uniform_u64(std::size(kPaths))]);
     } else if (key == "node") {
       out.append(namer_->name(e.source));
     } else if (key == "time") {
-      out.append(util::format_iso(e.time));
+      util::append_iso_time(out, ct);
     } else {
       out.append(tmpl.substr(i, close - i + 1));  // unknown: literal
     }
     i = close + 1;
   }
-  return out;
 }
 
-std::string Renderer::base_line(const SimEvent& e,
-                                std::uint64_t event_index) const {
+tag::LogPath Renderer::base_line_into(std::string& out, const SimEvent& e,
+                                      std::uint64_t event_index) const {
   util::Rng rng(seed_ ^ (event_index * 0x2545f4914f6cdd1dull));
 
   std::string_view program;
@@ -113,91 +120,114 @@ std::string Renderer::base_line(const SimEvent& e,
     body_tmpl = t.body;
     path = t.path;
   }
-  const std::string body = expand(body_tmpl, e, rng);
-  const std::string host = namer_->name(e.source);
+  const std::string& host = namer_->name(e.source);
+  const util::CivilTime ct = util::to_civil(e.time);
+  out.clear();
 
   switch (path) {
     case tag::LogPath::kSyslog: {
-      std::string line = util::format_syslog(e.time);
-      line.push_back(' ');
-      line.append(host);
-      line.push_back(' ');
+      util::append_syslog_time(out, ct);
+      out.push_back(' ');
+      out.append(host);
+      out.push_back(' ');
+      std::size_t pid_at = 0;
       if (!program.empty()) {
-        line.append(program);
+        out.append(program);
         // Daemons log with a pid; the kernel does not.
         if (program != "kernel" && program != "check-disks") {
-          line.append(util::format("[%d]",
-                                   static_cast<int>(rng.uniform_i64(200,
-                                                                    32000))));
+          pid_at = out.size();
         }
-        line.append(": ");
+        out.append(": ");
       }
-      line.append(body);
-      return line;
+      append_body(out, body_tmpl, e, ct, rng);
+      if (pid_at != 0) {
+        // The pid is drawn after the body's placeholders (the draw
+        // order the pinned bytes depend on), then spliced in before ": ".
+        std::string pid = "[";  // at most "[32000]": fits the SSO buffer
+        util::append_decimal(pid, static_cast<std::uint64_t>(
+                                      rng.uniform_i64(200, 32000)));
+        pid.push_back(']');
+        out.insert(pid_at, pid);
+      }
+      return path;
     }
     case tag::LogPath::kBglRas: {
-      const auto epoch = e.time / util::kUsPerSec;
-      const util::CivilTime ct = util::to_civil(e.time);
-      std::string line = util::format(
-          "%lld %04d.%02d.%02d ", static_cast<long long>(epoch), ct.year,
-          ct.month, ct.day);
-      line.append(host);
-      line.push_back(' ');
-      line.append(util::format_bgl(e.time));
-      line.push_back(' ');
-      line.append(host);
-      line.append(" RAS ");
-      line.append(program.empty() ? "KERNEL" : program);
-      line.push_back(' ');
-      line.append(parse::severity_bgl_name(e.severity));
-      line.push_back(' ');
-      line.append(body);
-      return line;
+      // Simulated logs start in 2004-2006, so the epoch is positive.
+      util::append_decimal(
+          out, static_cast<std::uint64_t>(e.time / util::kUsPerSec));
+      out.push_back(' ');
+      util::append_decimal(out, static_cast<std::uint64_t>(ct.year), 4);
+      out.push_back('.');
+      util::append_decimal(out, static_cast<std::uint64_t>(ct.month), 2);
+      out.push_back('.');
+      util::append_decimal(out, static_cast<std::uint64_t>(ct.day), 2);
+      out.push_back(' ');
+      out.append(host);
+      out.push_back(' ');
+      util::append_bgl_time(out, ct);
+      out.push_back(' ');
+      out.append(host);
+      out.append(" RAS ");
+      out.append(program.empty() ? "KERNEL" : program);
+      out.push_back(' ');
+      out.append(parse::severity_bgl_name(e.severity));
+      out.push_back(' ');
+      append_body(out, body_tmpl, e, ct, rng);
+      return path;
     }
     case tag::LogPath::kRsSyslog:
     case tag::LogPath::kRsDdn: {
-      std::string line = util::format_syslog(e.time);
-      line.push_back(' ');
-      line.append(host);
-      line.push_back(' ');
+      util::append_syslog_time(out, ct);
+      out.push_back(' ');
+      out.append(host);
+      out.push_back(' ');
       const bool kern = program == "kernel";
-      line.append(path == tag::LogPath::kRsDdn ? "local0"
-                                               : (kern ? "kern" : "daemon"));
-      line.push_back('.');
-      line.append(priority_name(e.severity));
-      line.push_back(' ');
+      out.append(path == tag::LogPath::kRsDdn ? "local0"
+                                              : (kern ? "kern" : "daemon"));
+      out.push_back('.');
+      out.append(priority_name(e.severity));
+      out.push_back(' ');
       if (!program.empty()) {
-        line.append(program);
-        line.append(": ");
+        out.append(program);
+        out.append(": ");
       }
-      line.append(body);
-      return line;
+      append_body(out, body_tmpl, e, ct, rng);
+      return path;
     }
     case tag::LogPath::kRsEventRouter: {
-      std::string line = util::format_iso(e.time);
-      line.push_back(' ');
-      line.append(program.empty() ? "ec_event" : program);
-      line.append(" src:::");
-      line.append(host);
-      line.append(" svc:::");
-      line.append(host);
-      line.push_back(' ');
-      line.append(body);
-      return line;
+      util::append_iso_time(out, ct);
+      out.push_back(' ');
+      out.append(program.empty() ? "ec_event" : program);
+      out.append(" src:::");
+      out.append(host);
+      out.append(" svc:::");
+      out.append(host);
+      out.push_back(' ');
+      append_body(out, body_tmpl, e, ct, rng);
+      return path;
     }
   }
   throw std::logic_error("Renderer: unknown log path");
 }
 
+void Renderer::render_into(std::string& out, const SimEvent& e,
+                           std::uint64_t event_index) const {
+  const tag::LogPath path = base_line_into(out, e, event_index);
+  injector_.apply_in_place(out, event_index, path, e.is_alert());
+}
+
 std::string Renderer::render(const SimEvent& e,
                              std::uint64_t event_index) const {
-  return injector_.apply(base_line(e, event_index), event_index, path_of(e),
-                         e.is_alert());
+  std::string line;
+  render_into(line, e, event_index);
+  return line;
 }
 
 std::string Renderer::render_clean(const SimEvent& e,
                                    std::uint64_t event_index) const {
-  return base_line(e, event_index);
+  std::string line;
+  base_line_into(line, e, event_index);
+  return line;
 }
 
 }  // namespace wss::sim

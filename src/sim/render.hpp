@@ -24,6 +24,8 @@
 #include "sim/sources.hpp"
 #include "sim/spec.hpp"
 #include "tag/rulesets.hpp"
+#include "util/rng.hpp"
+#include "util/time.hpp"
 
 namespace wss::sim {
 
@@ -34,7 +36,14 @@ class Renderer {
   Renderer(const SystemSpec& spec, const SourceNamer& namer,
            CorruptionConfig corruption, std::uint64_t seed);
 
-  /// Renders one event as a complete log line (no trailing newline).
+  /// Renders one event as a complete log line (no trailing newline)
+  /// into `out`, replacing its contents. Reusing one `out` across lines
+  /// keeps rendering allocation-free once the buffer has grown to the
+  /// longest line; this is the form every hot loop uses.
+  void render_into(std::string& out, const SimEvent& e,
+                   std::uint64_t event_index) const;
+
+  /// Same, as a fresh string.
   std::string render(const SimEvent& e, std::uint64_t event_index) const;
 
   /// Renders without corruption (ground-truth view, used by tests).
@@ -45,9 +54,12 @@ class Renderer {
   tag::LogPath path_of(const SimEvent& e) const;
 
  private:
-  std::string expand(std::string_view tmpl, const SimEvent& e,
-                     util::Rng& rng) const;
-  std::string base_line(const SimEvent& e, std::uint64_t event_index) const;
+  void append_body(std::string& out, std::string_view tmpl,
+                   const SimEvent& e, const util::CivilTime& ct,
+                   util::Rng& rng) const;
+  /// Writes the uncorrupted line into `out`; returns its log path.
+  tag::LogPath base_line_into(std::string& out, const SimEvent& e,
+                              std::uint64_t event_index) const;
 
   const SystemSpec* spec_;
   const SourceNamer* namer_;

@@ -34,6 +34,7 @@ std::size_t Replayer::run(const Visitor& visit) const {
   };
 
   std::size_t delivered = 0;
+  std::string line;
   for (std::size_t i = begin_; i < end_; ++i) {
     if (cancelled()) break;
     const SimEvent& e = events[i];
@@ -54,7 +55,7 @@ std::size_t Replayer::run(const Visitor& visit) const {
       }
       if (cancelled()) break;
     }
-    std::string line = sim_->renderer().render(e, i);
+    sim_->renderer().render_into(line, e, i);
     ++delivered;
     if (!visit(i, e, std::move(line))) break;
   }

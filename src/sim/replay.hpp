@@ -42,7 +42,9 @@ struct ReplayOptions {
 class Replayer {
  public:
   /// The visitor receives (event index, event, rendered line) in
-  /// stream order; return false to stop early.
+  /// stream order; return false to stop early. Lines are rendered into
+  /// one reused buffer: a visitor that only reads the line costs no
+  /// allocation, and one that keeps it moves it out.
   using Visitor =
       std::function<bool(std::size_t, const SimEvent&, std::string&&)>;
 

@@ -12,10 +12,16 @@ SourceNamer::SourceNamer(parse::SystemId system, std::uint32_t n_sources)
     throw std::invalid_argument("SourceNamer: need at least 16 sources");
   }
   n_admin_ = system == parse::SystemId::kBlueGeneL ? 2 : 8;
+  names_.reserve(n_);
+  for (std::uint32_t id = 0; id < n_; ++id) names_.push_back(make_name(id));
 }
 
-std::string SourceNamer::name(std::uint32_t id) const {
+const std::string& SourceNamer::name(std::uint32_t id) const {
   if (id >= n_) throw std::out_of_range("SourceNamer: bad source id");
+  return names_[id];
+}
+
+std::string SourceNamer::make_name(std::uint32_t id) const {
   const std::uint32_t admin_rank = id >= first_admin() ? id - first_admin() : 0;
   switch (system_) {
     case parse::SystemId::kBlueGeneL: {

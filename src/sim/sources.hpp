@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "parse/record.hpp"
 
@@ -22,8 +23,10 @@ class SourceNamer {
  public:
   explicit SourceNamer(parse::SystemId system, std::uint32_t n_sources);
 
-  /// The node/location name for a source id.
-  std::string name(std::uint32_t id) const;
+  /// The node/location name for a source id. Names are built once, at
+  /// construction (a few hundred to ~1,000 per system), so the
+  /// renderer's per-line lookups copy nothing.
+  const std::string& name(std::uint32_t id) const;
 
   parse::SystemId system() const { return system_; }
   std::uint32_t size() const { return n_; }
@@ -46,9 +49,12 @@ class SourceNamer {
   static constexpr std::uint32_t kThunderbirdVapiNode = 63;
 
  private:
+  std::string make_name(std::uint32_t id) const;
+
   parse::SystemId system_;
   std::uint32_t n_;
   std::uint32_t n_admin_;
+  std::vector<std::string> names_;
 };
 
 }  // namespace wss::sim

@@ -83,7 +83,8 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
   // Reduce into the open chunk partial with the shared batch reducer,
   // then let the study state advance chunk bookkeeping (it merges the
   // partial at every chunk_events boundary, exactly like run_pipeline).
-  core::detail::process_line(ctx_, e, line, study_.partial(), scratch_);
+  core::detail::process_line(ctx_, e, line, study_.partial(), scratch_,
+                             pscratch_, prepared_.rec);
   study_.on_event(e, line);
   StreamObs::get().events.inc();
 

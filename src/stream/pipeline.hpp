@@ -191,9 +191,9 @@ class StreamPipeline {
   std::map<std::string, std::uint32_t> source_ids_;
 
   // Per-engine matching and parsing scratch plus the prepared-line
-  // slot ingest_line() reuses for every line. Purely transient
-  // (overwritten by each prepare), so deliberately NOT part of
-  // save()/restore().
+  // slot ingest_line() reuses for every line (ingest() reuses its
+  // record). Purely transient (overwritten by each line), so
+  // deliberately NOT part of save()/restore().
   match::MatchScratch scratch_;
   parse::ParseScratch pscratch_;
   PreparedLine prepared_;

@@ -191,6 +191,24 @@ std::string with_commas(std::int64_t v) {
   return out;
 }
 
+void append_decimal(std::string& out, std::uint64_t v, int min_width) {
+  char buf[20];  // 2^64 - 1 has 20 digits
+  int n = 0;
+  do {
+    buf[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  for (int i = n; i < min_width; ++i) out.push_back('0');
+  while (n > 0) out.push_back(buf[--n]);
+}
+
+void append_hex(std::string& out, std::uint64_t v, int digits) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (int shift = 4 * (digits - 1); shift >= 0; shift -= 4) {
+    out.push_back(kHex[(v >> shift) & 0xf]);
+  }
+}
+
 std::uint64_t fnv1a(std::string_view s, std::uint64_t h) {
   for (unsigned char c : s) {
     h ^= c;

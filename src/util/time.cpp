@@ -3,6 +3,8 @@
 #include <array>
 #include <cstdio>
 
+#include "util/strings.hpp"
+
 namespace wss::util {
 
 namespace {
@@ -12,6 +14,28 @@ constexpr std::array<std::string_view, 12> kMonths = {
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
 
 char lower(char c) { return (c >= 'A' && c <= 'Z') ? char(c - 'A' + 'a') : c; }
+
+void append_padded(std::string& out, int v, int width) {
+  append_decimal(out, static_cast<std::uint64_t>(v), width);
+}
+
+/// "YYYY-MM-DD", the date part every ISO-style stamp shares.
+void append_date(std::string& out, const CivilTime& ct) {
+  append_padded(out, ct.year, 4);
+  out.push_back('-');
+  append_padded(out, ct.month, 2);
+  out.push_back('-');
+  append_padded(out, ct.day, 2);
+}
+
+/// "HH<sep>MM<sep>SS".
+void append_clock(std::string& out, const CivilTime& ct, char sep) {
+  append_padded(out, ct.hour, 2);
+  out.push_back(sep);
+  append_padded(out, ct.minute, 2);
+  out.push_back(sep);
+  append_padded(out, ct.second, 2);
+}
 
 }  // namespace
 
@@ -80,30 +104,45 @@ int parse_month_abbrev(std::string_view s) {
   return 0;
 }
 
+void append_syslog_time(std::string& out, const CivilTime& ct) {
+  out.append(month_abbrev(ct.month));
+  out.push_back(' ');
+  if (ct.day < 10) out.push_back(' ');
+  append_padded(out, ct.day, 1);
+  out.push_back(' ');
+  append_clock(out, ct, ':');
+}
+
+void append_bgl_time(std::string& out, const CivilTime& ct) {
+  append_date(out, ct);
+  out.push_back('-');
+  append_clock(out, ct, '.');
+  out.push_back('.');
+  append_padded(out, ct.micros, 6);
+}
+
+void append_iso_time(std::string& out, const CivilTime& ct) {
+  append_date(out, ct);
+  out.push_back(' ');
+  append_clock(out, ct, ':');
+}
+
 std::string format_syslog(TimeUs t) {
-  const CivilTime ct = to_civil(t);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3s %2d %02d:%02d:%02d",
-                month_abbrev(ct.month).data(), ct.day, ct.hour, ct.minute,
-                ct.second);
-  return buf;
+  std::string out;
+  append_syslog_time(out, to_civil(t));
+  return out;
 }
 
 std::string format_bgl(TimeUs t) {
-  const CivilTime ct = to_civil(t);
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d-%02d.%02d.%02d.%06d",
-                ct.year, ct.month, ct.day, ct.hour, ct.minute, ct.second,
-                ct.micros);
-  return buf;
+  std::string out;
+  append_bgl_time(out, to_civil(t));
+  return out;
 }
 
 std::string format_iso(TimeUs t) {
-  const CivilTime ct = to_civil(t);
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", ct.year,
-                ct.month, ct.day, ct.hour, ct.minute, ct.second);
-  return buf;
+  std::string out;
+  append_iso_time(out, to_civil(t));
+  return out;
 }
 
 std::string format_duration(TimeUs us) {

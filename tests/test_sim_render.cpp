@@ -104,5 +104,74 @@ TEST(Render, RsSyslogCarriesPriorityToken) {
   EXPECT_TRUE(saw_priority);
 }
 
+/// Every corruption mode on, alerts included, so the digest below
+/// covers the injector as well as the four line shapes.
+CorruptionConfig loud_corruption() {
+  CorruptionConfig c;
+  c.p_truncate = 0.05;
+  c.p_overwrite = 0.05;
+  c.p_bad_timestamp = 0.05;
+  c.p_bad_source = 0.05;
+  c.alerts_exempt = false;
+  return c;
+}
+
+/// FNV-1a over every render() line of all five systems at seed 42.
+std::uint64_t rendered_digest(std::size_t& lines, std::size_t& corrupted) {
+  std::uint64_t h = util::kFnv1aBasis;
+  for (const SystemId id : parse::kAllSystems) {
+    const Simulator sim(id, tiny());
+    const Renderer renderer(sim.spec(), sim.namer(), loud_corruption(), 42);
+    for (std::size_t i = 0; i < sim.events().size(); ++i) {
+      const std::string line = renderer.render(sim.events()[i], i);
+      h = util::fnv1a(line, h);
+      h = util::fnv1a("\n", h);
+      ++lines;
+      if (line != renderer.render_clean(sim.events()[i], i)) ++corrupted;
+    }
+  }
+  return h;
+}
+
+// Pins the rendered bytes: the value is what the snprintf-based
+// renderer produced before rendering moved to reused buffers and digit
+// writers. Any change to a line shape, a placeholder's draw order or
+// the corruption injector shows here first.
+TEST(Render, RenderedBytesArePinned) {
+  std::size_t lines = 0;
+  std::size_t corrupted = 0;
+  const std::uint64_t h = rendered_digest(lines, corrupted);
+  EXPECT_GT(lines, 10000u);
+  EXPECT_GT(corrupted, lines / 10);  // the injector really fired
+  EXPECT_EQ(h, 0xb32adb466f00e071ull) << std::hex << h;
+}
+
+// render_into must not depend on what the buffer held before: a long
+// line followed by a shorter one into the same buffer equals render().
+TEST(Render, RenderIntoReusedBufferEqualsRender) {
+  for (const SystemId id : parse::kAllSystems) {
+    const Simulator sim(id, tiny());
+    const Renderer renderer(sim.spec(), sim.namer(), loud_corruption(), 42);
+    const auto& events = sim.events();
+    std::size_t longest = 0;
+    std::size_t longest_len = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const std::size_t len = renderer.render(events[i], i).size();
+      if (len > longest_len) {
+        longest = i;
+        longest_len = len;
+      }
+    }
+    std::string buf;
+    renderer.render_into(buf, events[longest], longest);
+    ASSERT_EQ(buf, renderer.render(events[longest], longest));
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      renderer.render_into(buf, events[i], i);
+      ASSERT_EQ(buf, renderer.render(events[i], i))
+          << parse::system_short_name(id) << " line " << i;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wss::sim

@@ -12,6 +12,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -170,6 +171,50 @@ TEST(TagAllocEndToEnd, DoubledCorpusAddsZeroAllocations) {
   EXPECT_EQ(allocs_twice, allocs_once)
       << "the doubled corpus cost " << (allocs_twice - allocs_once)
       << " extra allocations across " << lines.size() << " extra lines";
+}
+
+// The batch study's per-line path: render into a reused buffer, parse
+// into a reused record, tag. After a warm-up pass over the same events
+// (buffer, record, scratches and DFA states at their high-water marks)
+// a second pass over a few thousand lines allocates nothing, on every
+// system's line shapes and with corruption on.
+TEST(TagAllocBatchLine, RenderParseTagAllocatesNothing) {
+  for (const parse::SystemId id : parse::kAllSystems) {
+    sim::SimOptions opts;
+    opts.category_cap = 300;
+    opts.chatter_events = 3000;
+    const sim::Simulator simulator(id, opts);
+    const TagEngine engine(build_ruleset(id));
+    const auto& events = simulator.events();
+    const std::size_t n = std::min<std::size_t>(events.size(), 4000);
+    ASSERT_GT(n, 2000u);
+    const int year = simulator.spec().start_date.year;
+
+    std::string line;
+    parse::LogRecord rec;
+    parse::ParseScratch pscratch;
+    match::MatchScratch scratch;
+    const auto pass = [&] {
+      std::size_t hits = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        simulator.renderer().render_into(line, events[i], i);
+        parse::parse_line_into(id, line, year, rec, pscratch);
+        hits += engine.tag(rec, scratch).has_value() ? 1 : 0;
+      }
+      return hits;
+    };
+
+    const std::size_t hits = pass();
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::size_t hits_again = pass();
+    const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(hits_again, hits);
+    EXPECT_GT(hits, 0u) << parse::system_short_name(id);
+    EXPECT_EQ(after - before, 0u)
+        << parse::system_short_name(id) << ": " << (after - before)
+        << " allocations across " << n << " steady-state lines";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, TagAllocTest,

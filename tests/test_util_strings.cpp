@@ -95,6 +95,22 @@ TEST(Strings, WithCommas) {
   EXPECT_EQ(with_commas(-1234567), "-1,234,567");
 }
 
+TEST(Strings, AppendDecimalAndHexMatchPrintf) {
+  for (const std::uint64_t v :
+       {0ull, 7ull, 42ull, 999ull, 32000ull, 1117756800ull,
+        0xdeadbeefcafef00dull, ~0ull}) {
+    for (const int width : {1, 2, 4, 6}) {
+      std::string out = "x";
+      append_decimal(out, v, width);
+      EXPECT_EQ(out, "x" + format("%0*llu", width,
+                                  static_cast<unsigned long long>(v)));
+    }
+    std::string hex;
+    append_hex(hex, v, 16);
+    EXPECT_EQ(hex, format("%016llx", static_cast<unsigned long long>(v)));
+  }
+}
+
 TEST(Strings, Fnv1aStable) {
   EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
   EXPECT_NE(fnv1a("a"), fnv1a("b"));

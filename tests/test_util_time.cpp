@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace wss::util {
@@ -89,6 +93,64 @@ TEST(Time, FormatBgl) {
 TEST(Time, FormatIso) {
   const TimeUs t = to_time_us({2006, 3, 19, 10, 0, 0, 0});
   EXPECT_EQ(format_iso(t), "2006-03-19 10:00:00");
+}
+
+/// The three stamp writers against the snprintf formats they replaced.
+std::string snprintf_syslog(const CivilTime& ct) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3s %2d %02d:%02d:%02d",
+                month_abbrev(ct.month).data(), ct.day, ct.hour, ct.minute,
+                ct.second);
+  return buf;
+}
+
+std::string snprintf_bgl(const CivilTime& ct) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d-%02d.%02d.%02d.%06d",
+                ct.year, ct.month, ct.day, ct.hour, ct.minute, ct.second,
+                ct.micros);
+  return buf;
+}
+
+std::string snprintf_iso(const CivilTime& ct) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", ct.year,
+                ct.month, ct.day, ct.hour, ct.minute, ct.second);
+  return buf;
+}
+
+TEST(Time, StampWritersMatchSnprintf) {
+  std::vector<CivilTime> cases = {
+      {2005, 6, 3, 15, 42, 50, 363779},
+      {2005, 12, 31, 23, 59, 59, 999999},  // the year rollover ...
+      {2006, 1, 1, 0, 0, 0, 0},            // ... and its other side
+      {2004, 2, 29, 9, 5, 7, 1},
+      {1970, 1, 1, 0, 0, 0, 0},
+      {999, 3, 9, 1, 2, 3, 4},
+  };
+  for (int month = 1; month <= 12; ++month) {
+    for (const int day : {1, 9, 10, days_in_month(2005, month)}) {
+      cases.push_back({2005, month, day, 7, 8, 9, 0});
+      cases.push_back({2005, month, day, 23, 59, 59, 999999});
+    }
+  }
+  std::string out = "prefix:";  // writers append, never clear
+  for (const CivilTime& ct : cases) {
+    out.resize(7);
+    append_syslog_time(out, ct);
+    EXPECT_EQ(out, "prefix:" + snprintf_syslog(ct));
+    out.resize(7);
+    append_bgl_time(out, ct);
+    EXPECT_EQ(out, "prefix:" + snprintf_bgl(ct));
+    out.resize(7);
+    append_iso_time(out, ct);
+    EXPECT_EQ(out, "prefix:" + snprintf_iso(ct));
+
+    const TimeUs t = to_time_us(ct);
+    EXPECT_EQ(format_syslog(t), snprintf_syslog(ct));
+    EXPECT_EQ(format_bgl(t), snprintf_bgl(ct));
+    EXPECT_EQ(format_iso(t), snprintf_iso(ct));
+  }
 }
 
 TEST(Time, FormatDuration) {
