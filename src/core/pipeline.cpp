@@ -30,22 +30,28 @@ PipelineResult make_partial(const ChunkContext& ctx) {
   return r;
 }
 
-void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
-                  std::string_view line, PipelineResult& r,
-                  match::MatchScratch& scratch, parse::ParseScratch& pscratch,
-                  parse::LogRecord& rec) {
+void prepare(const ChunkContext& ctx, std::string_view line, int year,
+             PreparedLine& out, parse::ParseScratch& pscratch,
+             match::MatchScratch& scratch) {
+  parse::parse_line_into(ctx.system, line, year, out.rec, pscratch);
+  out.tagged = ctx.engine->tag(out.rec, scratch);
+  out.month = util::parse_month_abbrev(line.substr(0, 3));
+}
+
+std::optional<filter::Alert> fold(const ChunkContext& ctx, PipelineResult& r,
+                                  std::string_view line,
+                                  const PreparedLine& prepared,
+                                  const LineFacts& facts) {
+  const parse::LogRecord& rec = prepared.rec;
+  const std::size_t bytes = line.size() + 1;  // trailing newline on disk
   PipelineCounters& obs = PipelineCounters::get();
   obs.events.inc();
-  obs.bytes.inc(line.size() + 1);
+  obs.bytes.inc(bytes);
   ++r.physical_messages;
-  r.weighted_messages += e.weight;
-  r.physical_bytes += line.size() + 1;  // trailing newline on disk
-  r.weighted_bytes += e.weight * static_cast<double>(line.size() + 1);
+  r.weighted_messages += facts.weight;
+  r.physical_bytes += bytes;
+  r.weighted_bytes += facts.weight * static_cast<double>(bytes);
 
-  // Parse. The year hint follows the event's own year; a real reader
-  // would advance it at log rollover boundaries.
-  parse::parse_line_into(ctx.system, line, util::to_civil(e.time).year, rec,
-                         pscratch);
   if (rec.source_corrupted) {
     ++r.corrupted_source_lines;
     obs.corrupted_sources.inc();
@@ -54,34 +60,34 @@ void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
     ++r.invalid_timestamp_lines;
     obs.invalid_timestamps.inc();
   }
-
-  // Tag.
-  const auto tagged = ctx.engine->tag(rec, scratch);
-  r.tagging.add(tagged.has_value(), e.is_alert());
-  if (tagged) {
-    obs.alerts_tagged.inc();
-    filter::Alert a;
-    // Trust the parsed timestamp when valid; otherwise fall back to
-    // stream position (ground-truth time), as an operator reading a
-    // sequential log effectively does.
-    a.time = rec.timestamp_valid ? rec.time : e.time;
-    a.source = e.source;
-    a.category = tagged->category;
-    a.type = tagged->type;
-    a.failure_id = e.failure_id;  // ground truth rides along for scoring
-    a.weight = e.weight;
-    r.tagged_alerts.push_back(a);
-    r.weighted_alert_counts[tagged->category] += e.weight;
-    ++r.physical_alert_counts[tagged->category];
-  }
-
   if (ctx.collect_source_tallies) {
     if (rec.source_corrupted) {
-      r.corrupted_source_weight += e.weight;
+      r.corrupted_source_weight += facts.weight;
     } else {
-      r.messages_by_source[rec.source] += e.weight;
+      r.messages_by_source[rec.source] += facts.weight;
     }
   }
+
+  const std::optional<tag::TagResult>& tagged = prepared.tagged;
+  if (facts.truth) r.tagging.add(tagged.has_value(), facts.truth->is_alert());
+  if (!tagged) return std::nullopt;
+  obs.alerts_tagged.inc();
+  r.weighted_alert_counts[tagged->category] += facts.weight;
+  ++r.physical_alert_counts[tagged->category];
+
+  filter::Alert a;
+  // Trust the parsed timestamp when valid; otherwise fall back to
+  // stream position, as an operator reading a sequential log
+  // effectively does.
+  a.time = rec.timestamp_valid ? rec.time : facts.fallback_time;
+  a.category = tagged->category;
+  a.type = tagged->type;
+  a.weight = facts.weight;
+  if (facts.truth) {
+    a.source = facts.truth->source;
+    a.failure_id = facts.truth->failure_id;  // rides along for scoring
+  }
+  return a;
 }
 
 PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
@@ -92,10 +98,17 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
   const auto& events = simulator.events();
   std::string line;
   parse::ParseScratch pscratch;
-  parse::LogRecord rec;
+  PreparedLine prepared;
   for (std::size_t i = begin; i < end; ++i) {
-    renderer.render_into(line, events[i], i);
-    process_line(ctx, events[i], line, r, scratch, pscratch, rec);
+    const sim::SimEvent& e = events[i];
+    renderer.render_into(line, e, i);
+    // The year hint follows the event's own year; a real reader
+    // would advance it at log rollover boundaries.
+    prepare(ctx, line, util::to_civil(e.time).year, prepared, pscratch,
+            scratch);
+    if (const auto a = fold(ctx, r, line, prepared, {e.weight, e.time, &e})) {
+      r.tagged_alerts.push_back(*a);
+    }
   }
   return r;
 }

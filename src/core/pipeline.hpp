@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,8 +97,8 @@ PipelineResult run_pipeline(const sim::Simulator& simulator,
 namespace detail {
 
 /// Read-only state shared by every chunk of one pass. `simulator` may
-/// be null for consumers that supply (event, line) pairs themselves
-/// (the streaming engine); process_chunk requires it.
+/// be null for consumers that supply lines themselves (the streaming
+/// engine); process_chunk requires it.
 struct ChunkContext {
   const sim::Simulator* simulator = nullptr;
   const tag::TagEngine* engine = nullptr;  ///< const-shareable across threads
@@ -111,24 +112,47 @@ struct ChunkContext {
 /// in batch and streaming runs.
 PipelineResult make_partial(const ChunkContext& ctx);
 
-/// Reduces ONE rendered event into the partial `r`. This is the whole
-/// per-event semantics of the pipeline -- process_chunk and the online
-/// stream::StreamPipeline both call it, which is what makes their
-/// outputs bit-identical on the same (event, line) sequence.
-/// `scratch`, `pscratch` and `rec` are caller-owned and reused across
-/// lines (the line is parsed into `rec`), so the steady-state parse and
-/// tag path never allocates.
-void process_line(const ChunkContext& ctx, const sim::SimEvent& e,
-                  std::string_view line, PipelineResult& r,
-                  match::MatchScratch& scratch, parse::ParseScratch& pscratch,
-                  parse::LogRecord& rec);
+/// One line parsed and tagged: the order-independent half of its
+/// reduction. Reused across lines, so the record keeps its capacities.
+struct PreparedLine {
+  parse::LogRecord rec;
+  std::optional<tag::TagResult> tagged;
+  int month = 0;  ///< the stamp's month abbreviation (1..12), 0 if none
+};
 
-/// Reduces events [begin, end) to a partial result. Pure function of
-/// its arguments; safe to call concurrently for disjoint ranges with
-/// distinct scratches (ParallelPipeline keeps one per worker). Each
-/// line is rendered into one buffer and parsed into one record, both
-/// owned by the call, so the per-line loop allocates nothing once they
-/// have grown.
+/// What fold() needs beyond the line: the only things that differ
+/// between batch, simulated stream, file stream and serve.
+struct LineFacts {
+  double weight = 1.0;             ///< the event's weight; 1 for real logs
+  util::TimeUs fallback_time = 0;  ///< alert time if the stamp is invalid
+  /// Simulated ground truth, if any: scores the tagger and gives the
+  /// alert its source and failure id.
+  const sim::SimEvent* truth = nullptr;
+};
+
+/// Parses `line` (with `year` for stamps that lack one) and tags it
+/// into `out`. Thread-compatible given distinct scratches and outputs;
+/// allocates nothing once they have grown.
+void prepare(const ChunkContext& ctx, std::string_view line, int year,
+             PreparedLine& out, parse::ParseScratch& pscratch,
+             match::MatchScratch& scratch);
+
+/// The pipeline's one per-line reduction: folds a prepared line into
+/// the partial `r` and the wss_pipeline_* counters. Batch and every
+/// stream entry point call it, which is what makes their outputs
+/// bit-identical on the same lines. Returns the tagged alert, if any
+/// (source 0 without ground truth), for the caller to keep or offer.
+std::optional<filter::Alert> fold(const ChunkContext& ctx, PipelineResult& r,
+                                  std::string_view line,
+                                  const PreparedLine& prepared,
+                                  const LineFacts& facts);
+
+/// Reduces events [begin, end) to a partial result: render, prepare
+/// and fold each line. Pure function of its arguments; safe to call
+/// concurrently for disjoint ranges with distinct scratches
+/// (ParallelPipeline keeps one per worker). Each line is rendered into
+/// one buffer and prepared into one PreparedLine, both owned by the
+/// call, so the per-line loop allocates nothing once they have grown.
 PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
                              std::size_t end, match::MatchScratch& scratch);
 
@@ -136,7 +160,7 @@ PipelineResult process_chunk(const ChunkContext& ctx, std::size_t begin,
 /// the merge order is what the determinism guarantee hangs on.
 void merge_partial(PipelineResult& acc, PipelineResult&& part);
 
-/// Cached handles for the per-event pipeline counters. process_line
+/// Cached handles for the per-event pipeline counters. fold()
 /// increments these (relaxed striped adds), so the same names track
 /// the same per-event semantics in the serial, parallel, and streaming
 /// paths -- which is what makes the wss_pipeline_* counters

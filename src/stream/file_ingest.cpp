@@ -26,9 +26,9 @@ using Clock = std::chrono::steady_clock;
 constexpr std::size_t kBatchLines = 1024;
 
 #ifndef WSS_OBS_OFF
-/// wss_stream_batch_latency_seconds: under the pool, the wall time
-/// from a batch's dispatch to the end of its in-order apply -- the
-/// longest any of its lines waited.
+/// wss_stream_batch_latency_seconds: the wall time from a batch's
+/// dispatch to the end of its in-order apply -- the longest any of its
+/// lines waited.
 obs::Histogram& batch_latency_histogram() {
   static obs::Histogram& h = obs::registry().histogram(
       "wss_stream_batch_latency_seconds", obs::latency_bounds_seconds());
@@ -49,8 +49,26 @@ struct Batch {
   std::exception_ptr error;             ///< guarded by PreparePool::mu_
 };
 
-/// The prepare workers: each owns a parse scratch, a match scratch and
+/// What one preparing thread owns: a parse scratch, a match scratch and
 /// the flusher that publishes the match scratch's tag tallies.
+struct Preparer {
+  parse::ParseScratch pscratch;
+  match::MatchScratch scratch;
+  tag::TagMetricsFlusher flusher;
+
+  /// Prepares every line of `b`, then publishes the tag tallies.
+  void prepare(const StreamPipeline& pipeline, Batch& b) {
+    const std::size_t n = b.lines.size();
+    if (b.prepared.size() < n) b.prepared.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      pipeline.prepare(b.lines[i], b.years[i], b.prepared[i], pscratch,
+                       scratch);
+    }
+    flusher.flush(scratch);
+  }
+};
+
+/// The prepare workers, one Preparer each.
 class PreparePool {
  public:
   PreparePool(const StreamPipeline& pipeline, int workers,
@@ -71,8 +89,7 @@ class PreparePool {
 
   void dispatch(Batch& b) {
     b.done = false;
-    b.dispatched = Clock::now();
-    tasks_.push([this, &b](Worker& w) { prepare(b, w); });
+    tasks_.push([this, &b](Preparer& w) { prepare(b, w); });
   }
 
   /// Blocks until `b` is prepared; rethrows a prepare failure.
@@ -83,31 +100,20 @@ class PreparePool {
   }
 
  private:
-  struct Worker {
-    parse::ParseScratch pscratch;
-    match::MatchScratch scratch;
-    tag::TagMetricsFlusher flusher;
-  };
-  using Task = std::function<void(Worker&)>;
+  using Task = std::function<void(Preparer&)>;
 
   void run() {
-    Worker w;
+    Preparer w;
     while (std::optional<Task> task = tasks_.pop()) (*task)(w);
   }
 
-  void prepare(Batch& b, Worker& w) {
+  void prepare(Batch& b, Preparer& w) {
     std::exception_ptr error;
     try {
-      const std::size_t n = b.lines.size();
-      if (b.prepared.size() < n) b.prepared.resize(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        pipeline_.prepare(b.lines[i], b.years[i], b.prepared[i], w.pscratch,
-                          w.scratch);
-      }
+      w.prepare(pipeline_, b);
     } catch (...) {
       error = std::current_exception();
     }
-    w.flusher.flush(w.scratch);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       b.error = error;
@@ -160,6 +166,8 @@ FileIngestResult ingest_file(StreamPipeline& pipeline,
   std::vector<Batch> slots(window);
   std::optional<PreparePool> pool;
   if (threads > 1) pool.emplace(pipeline, threads - 1, window + 1);
+  // Without a pool, the engine thread prepares each batch itself.
+  Preparer engine_preparer;
   logio::YearTracker ahead = pipeline.year_tracker();
   // The Table 2 compression fraction, started once its sample freezes.
   std::string_view sample;
@@ -188,10 +196,11 @@ FileIngestResult ingest_file(StreamPipeline& pipeline,
       b.years.clear();
       while (b.lines.size() < budget && next_line(line)) {
         b.lines.push_back(line);
-        if (pool) b.years.push_back(infer_year(ahead, line));
+        b.years.push_back(infer_year(ahead, line));
       }
       b.end_offset = static_cast<std::size_t>(p - base);
       dispatched += b.lines.size();
+      b.dispatched = Clock::now();
       if (pool) pool->dispatch(b);
       ++in_flight;
     }
@@ -201,25 +210,24 @@ FileIngestResult ingest_file(StreamPipeline& pipeline,
     Batch& b = slots[head];
     if (pool) {
       pool->wait(b);
-      for (std::size_t i = 0; i < b.lines.size(); ++i) {
-        pipeline.apply(b.lines[i], b.prepared[i]);
-        applied_one();
-      }
-#ifndef WSS_OBS_OFF
-      const std::chrono::duration<double> dt = Clock::now() - b.dispatched;
-      batch_latency_histogram().observe(dt.count());
-#endif
-      if (sample.empty()) {
-        sample = pipeline.study().frozen_compression_sample();
-        if (!sample.empty()) {
-          fraction = std::async(std::launch::async,
-                                compress::compression_fraction, sample);
-        }
-      }
     } else {
-      for (const std::string_view l : b.lines) {
-        pipeline.ingest_line(l);
-        applied_one();
+      engine_preparer.prepare(pipeline, b);
+    }
+    for (std::size_t i = 0; i < b.lines.size(); ++i) {
+      pipeline.apply(b.lines[i], b.prepared[i]);
+      applied_one();
+    }
+#ifndef WSS_OBS_OFF
+    const std::chrono::duration<double> dt = Clock::now() - b.dispatched;
+    batch_latency_histogram().observe(dt.count());
+#endif
+    // One thread means one: without a pool, snapshot() computes the
+    // fraction on the engine thread.
+    if (pool && sample.empty()) {
+      sample = pipeline.study().frozen_compression_sample();
+      if (!sample.empty()) {
+        fraction = std::async(std::launch::async,
+                              compress::compression_fraction, sample);
       }
     }
     input.release_before(b.end_offset);

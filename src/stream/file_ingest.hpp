@@ -4,13 +4,15 @@
 // and tag, a pure function of one line and its year -- and apply(),
 // the order-dependent rest (Algorithm 3.1, the Table 2-4 accumulators,
 // predict). ingest_file() splits the input into batches of lines on
-// the calling thread, the engine thread. With more than one thread it
-// hands each batch to a pool of threads-1 prepare workers, each with
-// its own parse and match scratch and tag-metrics flusher, and applies
-// the prepared batches strictly in file order. At most 2 * threads
-// batches are in flight, and the mapped pages behind the last applied
-// line are given back (InputBuffer::release_before), so a pass keeps
-// only a bounded window of the file resident however large it is.
+// the calling thread, the engine thread, and applies the prepared
+// batches strictly in file order in one loop at every thread count.
+// With more than one thread a pool of threads-1 workers prepares the
+// batches; with one, the engine thread prepares each batch itself.
+// Each preparer owns its parse and match scratch and tag-metrics
+// flusher. At most 2 * threads batches are in flight, and the mapped
+// pages behind the last applied line are given back
+// (InputBuffer::release_before), so a pass keeps only a bounded window
+// of the file resident however large it is.
 //
 // Years: a batch is prepared before the lines ahead of it are applied,
 // so the dispatcher infers each line's year on a lookahead copy of the
@@ -24,21 +26,19 @@
 // returning. Tag counters and a checkpoint written afterwards are
 // therefore exact.
 //
-// When the Table 2 compression sample freezes (its 20,000th line is
-// applied), its compression fraction is computed on a std::async
-// thread and primes the study state's cache, so snapshot() does not
-// pay for it on the engine thread at exit.
+// Under a pool, when the Table 2 compression sample freezes (its
+// 20,000th line is applied), its compression fraction is computed on a
+// std::async thread and primes the study state's cache, so snapshot()
+// does not pay for it on the engine thread at exit.
 //
-// Metrics: the pool path never calls ingest_line(), so
+// Metrics: ingest_file() never calls ingest_line(), so
 // wss_stream_ingest_latency_seconds (every 16th ingest_line() call)
 // gets no samples from it. Instead each applied batch observes
 // wss_stream_batch_latency_seconds: the wall time from its dispatch to
 // the end of its in-order apply, the longest any of its lines waited.
 //
-// With threads == 1 the same loop applies each batch inline through
-// StreamPipeline::ingest_line(). Report, --emit stream and checkpoint
-// bytes are identical at every thread count
-// (tests/test_stream_file_ingest.cpp).
+// Report, --emit stream and checkpoint bytes are identical at every
+// thread count (tests/test_stream_file_ingest.cpp).
 #pragma once
 
 #include <cstdint>
@@ -51,7 +51,7 @@ namespace wss::stream {
 
 struct FileIngestOptions {
   /// Threads, the engine thread included; 0 = hardware concurrency.
-  /// 1 runs every line inline through ingest_line(), with no pool.
+  /// 1 starts no pool: the engine thread prepares each batch itself.
   int threads = 1;
 
   /// Leading lines to skip unread (a checkpoint resume).

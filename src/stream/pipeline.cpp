@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "parse/dispatch.hpp"
 #include "sim/spec.hpp"
 #include "util/file.hpp"
 
@@ -29,10 +28,31 @@ struct StreamObs {
   }
 };
 
-/// Month named by a syslog-style stamp's leading "Mon", or 0.
-int line_month(std::string_view line) {
-  return line.size() >= 3 ? util::parse_month_abbrev(line.substr(0, 3)) : 0;
-}
+/// Times its scope into wss_stream_ingest_latency_seconds on every 16th
+/// construction (wall-clock; `tick` is never checkpointed -- it
+/// measures this process, not the stream).
+class LatencySample {
+ public:
+#ifndef WSS_OBS_OFF
+  explicit LatencySample(std::uint64_t& tick) : sampled_(tick++ % 16 == 0) {
+    if (sampled_) t0_ = std::chrono::steady_clock::now();
+  }
+  LatencySample(const LatencySample&) = delete;
+  LatencySample& operator=(const LatencySample&) = delete;
+  ~LatencySample() {
+    if (!sampled_) return;
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0_;
+    StreamObs::get().latency.observe(dt.count());
+  }
+
+ private:
+  bool sampled_;
+  std::chrono::steady_clock::time_point t0_;
+#else
+  explicit LatencySample(std::uint64_t&) {}
+#endif
+};
 
 }  // namespace
 
@@ -75,18 +95,16 @@ void StreamPipeline::offer(const filter::Alert& a) {
 }
 
 void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
-#ifndef WSS_OBS_OFF
-  const bool sampled = (latency_tick_++ % 16) == 0;
-  const auto t0 = sampled ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-#endif
-  // Reduce into the open chunk partial with the shared batch reducer,
-  // then let the study state advance chunk bookkeeping (it merges the
-  // partial at every chunk_events boundary, exactly like run_pipeline).
-  core::detail::process_line(ctx_, e, line, study_.partial(), scratch_,
-                             pscratch_, prepared_.rec);
-  study_.on_event(e, line);
-  StreamObs::get().events.inc();
+  const LatencySample sample(latency_tick_);
+  // Reduce into the open chunk partial with the batch kernel, then let
+  // the study state advance chunk bookkeeping (it merges the partial at
+  // every chunk_events boundary, exactly like run_pipeline). The tagged
+  // alert is dropped: the filter consumes ground truth here.
+  core::detail::prepare(ctx_, line, util::to_civil(e.time).year, prepared_,
+                        pscratch_, scratch_);
+  core::detail::fold(ctx_, study_.partial(), line, prepared_,
+                     {e.weight, e.time, &e});
+  study_.on_event(e.time, e.weight, line);
 
   if (e.is_alert()) {
     // The ground-truth alert, constructed exactly as
@@ -102,20 +120,16 @@ void StreamPipeline::ingest(const sim::SimEvent& e, std::string_view line) {
     offer(a);
   }
 
-  if (study_.events() % opts_.study.chunk_events == 0) {
-    // Chunk boundary: shed filter entries the watermark proves dead,
-    // and publish the cold-path metric deltas.
-    filter_.evict_stale();
-    flusher_.flush(scratch_);
-    StreamObs::get().watermark.set(study_.watermark());
-  }
-#ifndef WSS_OBS_OFF
-  if (sampled) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    StreamObs::get().latency.observe(dt.count());
-  }
-#endif
+  // Simulated streams are sorted, so the watermark proves entries dead.
+  if (end_line()) filter_.evict_stale();
+}
+
+bool StreamPipeline::end_line() {
+  StreamObs::get().events.inc();
+  if (study_.events() % opts_.study.chunk_events != 0) return false;
+  flusher_.flush(scratch_);
+  StreamObs::get().watermark.set(study_.watermark());
+  return true;
 }
 
 std::uint32_t StreamPipeline::intern(const std::string& name) {
@@ -127,36 +141,23 @@ std::uint32_t StreamPipeline::intern(const std::string& name) {
 }
 
 int infer_year(logio::YearTracker& tracker, std::string_view line) {
-  const int month = line_month(line);
+  const int month = util::parse_month_abbrev(line.substr(0, 3));
   return month > 0 ? tracker.on_month(month) : tracker.year();
 }
 
 void StreamPipeline::ingest_line(std::string_view line) {
-#ifndef WSS_OBS_OFF
-  const bool sampled = (latency_tick_++ % 16) == 0;
-  const auto t0 = sampled ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-#endif
+  const LatencySample sample(latency_tick_);
   // Year-rollover inference on a copy: the engine's own tracker
   // advances in apply(), the one place every file-mode line passes.
   logio::YearTracker ahead = year_;
   prepare(line, infer_year(ahead, line), prepared_, pscratch_, scratch_);
   apply(line, prepared_);
-#ifndef WSS_OBS_OFF
-  if (sampled) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    StreamObs::get().latency.observe(dt.count());
-  }
-#endif
 }
 
 void StreamPipeline::prepare(std::string_view line, int year,
                              PreparedLine& out, parse::ParseScratch& pscratch,
                              match::MatchScratch& scratch) const {
-  parse::parse_line_into(system_, line, year, out.rec, pscratch);
-  out.tagged = engine_.tag(out.rec, scratch);
-  out.month = line_month(line);
+  core::detail::prepare(ctx_, line, year, out, pscratch, scratch);
 }
 
 void StreamPipeline::apply(std::string_view line,
@@ -164,65 +165,17 @@ void StreamPipeline::apply(std::string_view line,
   study_.mark_no_ground_truth();
   if (prepared.month > 0) year_.on_month(prepared.month);
   const parse::LogRecord& rec = prepared.rec;
-  const auto& tagged = prepared.tagged;
-
-  // Analyze-style reduction: no ground truth, every line weight 1.
-  // Mirrors core::detail::process_line except for the tagger scoring
-  // (meaningless without ground truth, left at zero).
-  core::PipelineResult& r = study_.partial();
-  core::detail::PipelineCounters& pc = core::detail::PipelineCounters::get();
-  pc.events.inc();
-  pc.bytes.inc(line.size() + 1);
-  ++r.physical_messages;
-  r.weighted_messages += 1.0;
-  r.physical_bytes += line.size() + 1;
-  r.weighted_bytes += static_cast<double>(line.size() + 1);
-  if (rec.source_corrupted) {
-    ++r.corrupted_source_lines;
-    pc.corrupted_sources.inc();
-  }
-  if (!rec.timestamp_valid) {
-    ++r.invalid_timestamp_lines;
-    pc.invalid_timestamps.inc();
-  }
-
-  sim::SimEvent e;
-  e.time = rec.timestamp_valid ? rec.time : study_.watermark();
-  e.severity = rec.severity;
-  e.weight = 1.0;
-
-  filter::Alert a;
-  if (tagged) {
-    pc.alerts_tagged.inc();
-    e.category = static_cast<std::int32_t>(tagged->category);
-    if (tagged->category < r.weighted_alert_counts.size()) {
-      r.weighted_alert_counts[tagged->category] += 1.0;
-      ++r.physical_alert_counts[tagged->category];
-    }
-    a.time = e.time;
-    a.category = tagged->category;
-    a.type = tagged->type;
-    a.source = intern(rec.source);
-    a.weight = 1.0;
-    e.source = a.source;
-  }
-
-  if (ctx_.collect_source_tallies) {
-    if (rec.source_corrupted) {
-      r.corrupted_source_weight += 1.0;
-    } else {
-      r.messages_by_source[rec.source] += 1.0;
-    }
-  }
-
-  study_.on_event(e, line);
-  StreamObs::get().events.inc();
-  if (tagged) offer(a);
-
-  if (study_.events() % opts_.study.chunk_events == 0) {
-    flusher_.flush(scratch_);
-    StreamObs::get().watermark.set(study_.watermark());
-  }
+  // Analyze-style: no ground truth, every line weight 1, and a line
+  // without a valid stamp sits at the watermark.
+  const util::TimeUs time =
+      rec.timestamp_valid ? rec.time : study_.watermark();
+  std::optional<filter::Alert> a =
+      core::detail::fold(ctx_, study_.partial(), line, prepared,
+                         {1.0, time, nullptr});
+  if (a) a->source = intern(rec.source);
+  study_.on_event(time, 1.0, line);
+  if (a) offer(*a);
+  end_line();
 }
 
 void StreamPipeline::publish_metrics() {

@@ -17,7 +17,9 @@
 // rendered events (tests/test_integration_stream.cpp pins this for
 // all five systems).
 //
-// Two ingestion modes:
+// Each line goes through the batch kernel, core::detail::prepare then
+// core::detail::fold. The two ingestion modes differ only in the facts
+// they fold with and in which alerts feed the filter:
 //   ingest(event, line)  -- simulated streams: ground truth rides
 //     along, the filter consumes the ground-truth alert stream (the
 //     batch Study::filtered_alerts feed), and tagging is scored.
@@ -29,10 +31,10 @@
 // ingest_line is exactly prepare() then apply(). prepare() -- parse
 // and tag -- is a const, per-line pure function of the line and its
 // year, so it may run on any thread with that thread's own scratches;
-// apply() is the order-dependent rest (counters, intern, study state,
+// apply() is the order-dependent rest (fold, intern, study state,
 // filter, predict) and must see lines in file order. The file driver
-// (file_ingest.hpp) runs prepare on a worker pool and apply on the
-// engine thread.
+// (file_ingest.hpp) prepares batches off the apply loop and applies
+// them in file order; serve tenants call ingest_line.
 //
 // Admitted alerts are emitted through the AlertSink the moment the
 // filter rules them non-redundant (decisions are final; see
@@ -43,7 +45,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "logio/reader.hpp"
@@ -73,14 +74,7 @@ struct StreamPipelineOptions {
   PredictOptions predict;
 };
 
-/// The order-independent half of file-mode ingestion for one line:
-/// its parsed record and tag verdict. Reusable: prepare() overwrites
-/// it, and the record keeps its string capacities across lines.
-struct PreparedLine {
-  parse::LogRecord rec;
-  std::optional<tag::TagResult> tagged;
-  int month = 0;  ///< the stamp's month abbreviation (1..12), 0 if none
-};
+using PreparedLine = core::detail::PreparedLine;
 
 /// The year `tracker` infers for `line` (advancing it past the line's
 /// month) -- logio::read_log's rollover rule. Stamps that carry their
@@ -168,6 +162,9 @@ class StreamPipeline {
  private:
   void offer(const filter::Alert& a);
   std::uint32_t intern(const std::string& name);
+  /// Counts a line and, if it closed a chunk, publishes the cold-path
+  /// metric deltas and returns true.
+  bool end_line();
 
   parse::SystemId system_;
   StreamPipelineOptions opts_;

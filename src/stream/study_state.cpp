@@ -38,18 +38,18 @@ StreamStudyState::StreamStudyState(parse::SystemId system,
   }
 }
 
-void StreamStudyState::on_event(const sim::SimEvent& e,
+void StreamStudyState::on_event(util::TimeUs time, double weight,
                                 std::string_view line) {
   if (finished_) {
     throw std::logic_error("StreamStudyState: on_event after finish()");
   }
   if (!any_event_) {
-    first_time_ = e.time;
+    first_time_ = time;
     any_event_ = true;
   }
-  watermark_ = std::max(watermark_, e.time);
+  watermark_ = std::max(watermark_, time);
   ++events_;
-  window_messages_.add(e.time, e.weight);
+  window_messages_.add(time, weight);
 
   if (opts_.capture_compression_sample &&
       sampled_lines_ < kCompressionSampleLines) {
@@ -95,11 +95,7 @@ void StreamStudyState::on_filter_verdict(const filter::Alert& a,
 }
 
 void StreamStudyState::merge_open_chunk() {
-  // The per-chunk tagged-alert vector is the one batch output no table
-  // consumes; dropping it here (instead of letting it accumulate) is
-  // the O(log) -> O(chunk) memory step. Everything else merges exactly
-  // as core::run_pipeline does, in chunk order.
-  partial_.tagged_alerts.clear();
+  // Merges exactly as core::run_pipeline does, in chunk order.
   core::detail::merge_partial(total_, std::move(partial_));
   partial_ = core::detail::make_partial(
       {.system = system_, .num_categories = num_categories_});
@@ -121,9 +117,7 @@ StreamSnapshot StreamStudyState::snapshot() const {
   // here.
   core::PipelineResult acc = total_;
   if (events_in_partial_ > 0) {
-    core::PipelineResult part = partial_;
-    part.tagged_alerts.clear();
-    core::detail::merge_partial(acc, std::move(part));
+    core::detail::merge_partial(acc, core::PipelineResult(partial_));
   }
   core::detail::finalize_result(acc);
 
@@ -221,6 +215,9 @@ void StreamStudyState::save(CheckpointWriter& w) const {
 void StreamStudyState::load(CheckpointReader& r) {
   total_ = load_result(r);
   partial_ = load_result(r);
+  // Checkpoints of simulated streams written before the engine stopped
+  // keeping per-chunk tagged alerts still carry some; nothing reads them.
+  partial_.tagged_alerts.clear();
   events_in_partial_ = static_cast<std::size_t>(r.u64());
   events_ = r.u64();
   first_time_ = r.i64();

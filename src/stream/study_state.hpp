@@ -7,9 +7,9 @@
 // chunk partial plus a merged total -- so the floating-point sums a
 // finished stream reports are bit-identical to core::run_pipeline over
 // the same rendered events, not merely close. Only the per-chunk
-// tagged-alert vector is dropped at each merge (no table consumes it;
-// the filtered stream is emitted, not retained), which is what turns
-// the batch O(log) footprint into O(chunk + categories + window).
+// tagged-alert vector is never kept (no table consumes it; the
+// filtered stream is emitted, not retained), which is what turns the
+// batch O(log) footprint into O(chunk + categories + window).
 //
 // On top of the pipeline accumulators it tracks what the tables need
 // from the *filtered* stream (per-category and per-type survivor
@@ -134,15 +134,12 @@ class StreamStudyState {
  public:
   StreamStudyState(parse::SystemId system, const StreamStudyOptions& opts);
 
-  /// Folds one rendered event (already reduced into the pipeline
-  /// partial by the caller via core::detail::process_line) -- this
-  /// entry point only advances chunk bookkeeping and window state.
-  /// `partial()` exposes the live chunk partial to reduce into.
+  /// The live chunk partial each line is folded into.
   core::PipelineResult& partial() { return partial_; }
 
-  /// Called after each process_line into partial(): advances event
-  /// counters, windows, and (at chunk boundaries) merges the partial.
-  void on_event(const sim::SimEvent& e, std::string_view line);
+  /// Called after each core::detail::fold into partial(): advances
+  /// event counters, windows, and (at chunk boundaries) merges.
+  void on_event(util::TimeUs time, double weight, std::string_view line);
 
   /// Records an Algorithm 3.1 verdict on a (ground-truth or tagged)
   /// alert so filtered tallies, interarrival stats, and windows track

@@ -157,5 +157,30 @@ TEST(StreamIntegration, Table3And4IngredientsMatchBatch) {
   }
 }
 
+// File mode folds each line with the same kernel as batch, at weight 1
+// and without ground truth, so every physical (unweighted) count over
+// the rendered log must equal the batch pipeline's over the same lines.
+TEST(StreamIntegration, FileModeMatchesBatchPhysicalCountsAllSystems) {
+  for (const auto id : parse::kAllSystems) {
+    SCOPED_TRACE(parse::system_short_name(id));
+    const sim::Simulator simulator(id, small_sim(42));
+    stream::StreamPipeline pipeline(id);
+    simulator.for_each_line(
+        [&pipeline](std::string_view line) { pipeline.ingest_line(line); });
+    pipeline.finish();
+    const auto snap = pipeline.snapshot();
+    const auto batch = core::run_pipeline(simulator, false);
+
+    EXPECT_FALSE(snap.has_ground_truth);
+    EXPECT_EQ(snap.physical_messages, simulator.events().size());
+    EXPECT_EQ(snap.physical_messages, batch.physical_messages);
+    EXPECT_EQ(snap.physical_bytes, batch.physical_bytes);
+    EXPECT_GT(batch.corrupted_source_lines, 0u);
+    EXPECT_EQ(snap.corrupted_source_lines, batch.corrupted_source_lines);
+    EXPECT_EQ(snap.invalid_timestamp_lines, batch.invalid_timestamp_lines);
+    EXPECT_EQ(snap.physical_alert_counts, batch.physical_alert_counts);
+  }
+}
+
 }  // namespace
 }  // namespace wss

@@ -323,7 +323,8 @@ TEST_F(NetShardsTest, AutoShardCountBindsAndServes) {
   EXPECT_GE(shards, 1u);
   EXPECT_LE(shards, 8u);
 
-  const ServeTenantReport* t = find_tenant(stop(), "auto");
+  const ServeReport report = stop();
+  const ServeTenantReport* t = find_tenant(report, "auto");
   ASSERT_NE(t, nullptr);
   EXPECT_EQ(t->delivered, 1u);
 }

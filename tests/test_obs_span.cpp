@@ -101,7 +101,8 @@ TEST(ObsSpan, ResetZeroesCountsInPlace) {
   // Nodes survive the reset: re-entering the span works and counts
   // from zero again.
   { Span s("span_reset_me"); }
-  const SpanStats* again = find_span(registry().snapshot(), "span_reset_me");
+  const MetricsSnapshot after = registry().snapshot();
+  const SpanStats* again = find_span(after, "span_reset_me");
   ASSERT_NE(again, nullptr);
   EXPECT_EQ(again->count, 1u);
 }
