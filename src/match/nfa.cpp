@@ -8,6 +8,7 @@ Regex::Regex(std::string_view pattern, ParseOptions opts)
   compile_node(*ast);
   emit(Inst{Op::kMatch, 0, 0, CharClass{}});
   literal_ = required_literal(pattern, opts);
+  literal_only_ = match::literal_only(pattern, opts);
 }
 
 std::uint32_t Regex::emit(Inst inst) {

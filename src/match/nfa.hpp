@@ -57,6 +57,10 @@ class Regex {
   /// contain the literal, search() cannot succeed.
   const std::string& prefilter_literal() const { return literal_; }
 
+  /// True if the pattern is exactly prefilter_literal() (see
+  /// match::literal_only): search() succeeds iff the text contains it.
+  bool literal_only() const { return literal_only_; }
+
   /// Number of compiled instructions (for tests and diagnostics).
   std::size_t program_size() const { return prog_.size(); }
 
@@ -75,6 +79,7 @@ class Regex {
 
   std::string pattern_;
   std::string literal_;
+  bool literal_only_ = false;
   Prog prog_;
 };
 

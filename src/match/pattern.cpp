@@ -364,6 +364,25 @@ class LiteralScan {
   std::string best_;
 };
 
+/// True if `n` matches exactly one fixed, possibly empty, byte string.
+bool fixed_string(const Node& n) {
+  switch (n.kind) {
+    case NodeKind::kEmpty:
+      return true;
+    case NodeKind::kClass:
+      return n.cls.singleton() >= 0;
+    case NodeKind::kConcat:
+      for (const auto& child : n.children) {
+        if (!fixed_string(*child)) return false;
+      }
+      return true;
+    case NodeKind::kRepeat:
+      return n.min == 1 && n.max == 1 && fixed_string(*n.children.front());
+    default:
+      return false;
+  }
+}
+
 }  // namespace
 
 void CharClass::add_range(unsigned char lo, unsigned char hi) {
@@ -425,6 +444,15 @@ std::string required_literal(std::string_view pattern,
   LiteralScan scan;
   scan.visit(*ast);
   return scan.best();
+}
+
+bool literal_only(std::string_view pattern, const ParseOptions& opts) {
+  if (opts.case_insensitive) return false;
+  const auto ast = parse(pattern, opts);
+  if (!fixed_string(*ast)) return false;
+  LiteralScan scan;
+  scan.visit(*ast);
+  return !scan.best().empty();
 }
 
 }  // namespace wss::match

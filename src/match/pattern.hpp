@@ -96,6 +96,14 @@ std::unique_ptr<Node> parse(std::string_view pattern,
 std::string required_literal(std::string_view pattern,
                              const ParseOptions& opts = {});
 
+/// True if the pattern is exactly its required literal: a non-empty
+/// concatenation of single-byte classes with no anchors, no \b / \B,
+/// no alternation, no repeat other than {1,1}, and not
+/// case-insensitive. Such a pattern matches a text iff the text
+/// contains required_literal(pattern), so a substring scan decides it
+/// without running the automaton.
+bool literal_only(std::string_view pattern, const ParseOptions& opts = {});
+
 /// Escapes `text` so that, as a pattern, it matches `text` literally.
 std::string escape_literal(std::string_view text);
 

@@ -35,9 +35,10 @@ TagEngine::TagEngine(RuleSet rules, TagEngineMode mode)
     : rules_(std::move(rules)),
       mode_(mode),
       instance_id_(next_engine_instance_id()) {
-  // Compile the rule plans: every whole-line term becomes a pattern of
-  // the combined set matcher; every non-negated term with a provable
-  // required literal contributes to the Aho–Corasick prefilter. (A
+  // Compile the rule plans: every non-negated term with a provable
+  // required literal contributes to the Aho–Corasick prefilter, which
+  // alone decides it if the pattern is literal-only; every other
+  // whole-line term becomes a pattern of the combined set matcher. (A
   // negated term cannot gate candidacy: its conjunct is SATISFIED when
   // the pattern -- and hence its literal -- is absent.)
   std::vector<std::string> literals;
@@ -54,16 +55,18 @@ TagEngine::TagEngine(RuleSet rules, TagEngineMode mode)
       tp.field = t.field;
       tp.negated = t.negated;
       tp.re = t.re.get();
-      if (t.field == 0) {
-        tp.pid = static_cast<std::uint32_t>(patterns.size());
-        patterns.push_back(t.re.get());
-      }
       if (!t.negated && !t.re->prefilter_literal().empty()) {
         const std::string& lit = t.re->prefilter_literal();
         const auto [it, inserted] = literal_ids.emplace(
             lit, static_cast<std::uint16_t>(literals.size()));
         if (inserted) literals.push_back(lit);
         plan.lits.push_back(it->second);
+        if (t.field == 0 && t.re->literal_only()) tp.lit = it->second;
+      }
+      if (t.field == 0 && tp.lit < 0) {
+        tp.pid = static_cast<std::uint32_t>(patterns.size());
+        patterns.push_back(t.re.get());
+        plan.needs_dfa = true;
       }
       plan.terms.push_back(tp);
     }
@@ -90,7 +93,7 @@ TagEngine::TagEngine(RuleSet rules, TagEngineMode mode)
   for (std::size_t i = 0; i < plans_.size(); ++i) {
     rule_pids_[i].assign(pid_words, 0);
     for (const TermPlan& t : plans_[i].terms) {
-      if (t.field == 0) {
+      if (t.field == 0 && t.lit < 0) {
         match::bitset_set(rule_pids_[i].data(), t.pid);
       }
     }
@@ -195,16 +198,19 @@ std::optional<TagResult> TagEngine::tag_line(
   }
 
   // 2. One set-matching pass decides every whole-line term of every
-  //    candidate rule at once.
+  //    candidate rule that the literal scan could not; when no
+  //    candidate has such a term, the line skips the pass.
+  bool need_dfa = false;
   match::bitset_clear(scratch.interesting, multi_->bitset_words());
   for (std::size_t i = 0; i < plans_.size(); ++i) {
-    if (!match::bitset_test(candidates, i)) continue;
+    if (!plans_[i].needs_dfa || !match::bitset_test(candidates, i)) continue;
+    need_dfa = true;
     const auto& mask = rule_pids_[i];
     for (std::size_t w = 0; w < mask.size(); ++w) {
       scratch.interesting[w] |= mask[w];
     }
   }
-  multi_->match_all(line, scratch, scratch.interesting.data());
+  if (need_dfa) multi_->match_all(line, scratch, scratch.interesting.data());
 
   // 3. First match wins, by rule index -- identical to the naive loop.
   bool fields_ready = false;
@@ -214,7 +220,10 @@ std::optional<TagResult> TagEngine::tag_line(
     bool ok = true;
     for (const TermPlan& t : plan.terms) {
       bool hit;
-      if (t.field == 0) {
+      if (t.lit >= 0) {
+        hit = match::bitset_test(scratch.found.data(),
+                                 static_cast<std::size_t>(t.lit));
+      } else if (t.field == 0) {
         hit = match::bitset_test(scratch.matched.data(), t.pid);
       } else {
         if (!fields_ready) {

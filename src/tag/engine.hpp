@@ -10,19 +10,23 @@
 //      (match::LiteralScanner) yields the candidate-rule set; a rule
 //      whose required literal is absent cannot match, and a chatter
 //      line typically empties the whole set right here.
-//   2. Surviving lines run ONE lazy-DFA pass of the combined automaton
-//      of all whole-line rule predicates (match::MultiRegex), which
-//      decides every candidate term at once.
+//   2. A whole-line term whose pattern is exactly its literal
+//      (Regex::literal_only -- most expert rules are plain strings) is
+//      decided by that scan alone. The remaining whole-line terms
+//      (anchored, non-literal or negated) form ONE combined automaton
+//      (match::MultiRegex); a line with a candidate rule that needs
+//      one runs a single lazy-DFA pass, which decides them all at once.
 //   3. Rules are resolved lowest-index-first (first match wins), with
 //      awk-style field terms evaluated directly on the rare candidate.
 //
 // Decisions are bit-identical to the naive per-rule loop at every
-// step -- the prefilter is a necessary-condition filter and the DFA is
-// exactly equivalent to the Pike VM -- which the golden suite and
-// tests/test_match_multiregex_fuzz.cpp enforce. The naive and
-// prefilter-only engines are kept behind TagEngineMode (env
-// WSS_TAG_ENGINE=naive|prefilter|multi) for the ablation bench,
-// bench/perf_tagging.cpp.
+// step -- the prefilter is a necessary-condition filter, a literal-only
+// pattern matches iff its literal occurs, and the DFA is exactly
+// equivalent to the Pike VM -- which the golden suite,
+// tests/test_tag_engine.cpp and tests/test_match_multiregex_fuzz.cpp
+// enforce. The naive and prefilter-only engines are kept behind
+// TagEngineMode (env WSS_TAG_ENGINE=naive|prefilter|multi) for the
+// ablation bench, bench/perf_tagging.cpp.
 #pragma once
 
 #include <memory>
@@ -50,7 +54,8 @@ struct TagResult {
 enum class TagEngineMode : std::uint8_t {
   kNaive,      ///< per-rule Pike-VM probes (the pre-set-matching path)
   kPrefilter,  ///< Aho–Corasick candidates, then per-rule Pike probes
-  kMulti,      ///< candidates + one lazy-DFA set-matching pass (default)
+  kMulti,      ///< candidates + literal-decided terms + one lazy-DFA
+               ///< pass for the rest (default)
 };
 
 /// Immutable matcher over one system's RuleSet. Owns its rules (so a
@@ -91,7 +96,10 @@ class TagEngine {
  private:
   /// One rule term, pre-resolved for the hot path.
   struct TermPlan {
-    std::uint32_t pid = 0;  ///< pattern id in multi_ (field == 0 terms)
+    std::uint32_t pid = 0;  ///< pattern id in multi_ (DFA-decided terms)
+    /// Literal id when the Aho–Corasick scan decides the term (a
+    /// non-negated, whole-line, literal-only pattern); -1 otherwise.
+    std::int32_t lit = -1;
     std::int32_t field = 0;
     bool negated = false;
     const match::Regex* re = nullptr;
@@ -101,6 +109,7 @@ class TagEngine {
     std::vector<TermPlan> terms;
     filter::AlertType type = filter::AlertType::kIndeterminate;
     bool never = false;  ///< empty predicate: matches nothing
+    bool needs_dfa = false;  ///< some term is decided by multi_
   };
 
   /// Per-rule Pike-VM loop, optionally restricted to a candidate
@@ -130,7 +139,7 @@ class TagEngine {
   std::vector<std::uint64_t> lit_masks_;
   std::size_t lit_words_ = 0;
   /// Per-rule mask over multi_ pattern ids (the "interesting" set fed
-  /// to the DFA for early exit).
+  /// to the DFA for early exit); all-zero unless the rule needs_dfa.
   std::vector<std::vector<std::uint64_t>> rule_pids_;
   std::unique_ptr<match::LiteralScanner> literals_;
   std::unique_ptr<match::MultiRegex> multi_;

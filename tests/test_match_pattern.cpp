@@ -1,5 +1,5 @@
 // Pattern parsing internals: CharClass, required_literal,
-// escape_literal.
+// literal_only, escape_literal.
 #include "match/pattern.hpp"
 
 #include <gtest/gtest.h>
@@ -78,6 +78,51 @@ TEST(Pattern, RequiredLiteralCaseInsensitiveEmpty) {
   ParseOptions opts;
   opts.case_insensitive = true;
   EXPECT_EQ(required_literal("Fatal", opts), "");
+}
+
+TEST(Pattern, LiteralOnlyTable) {
+  // A literal-only pattern is decided by a substring scan alone, so
+  // every construct that makes a match more (or less) than "contains
+  // the literal" must disqualify it.
+  const struct {
+    std::string pattern;
+    bool literal_only;
+  } cases[] = {
+      {"data TLB error interrupt", true},
+      {"rts panic! - stopping execution", true},
+      {"Connection refused \\(111\\) in open_demux", true},
+      {escape_literal("z+ input"), true},
+      {"^kernel panic$", false},
+      {"\\bpanic\\b", false},
+      {"erro+r", false},
+      {"xy{2}z", false},
+      {"a|b", false},
+      {"gm_parity\\.c:.*parity_int", false},
+      {"[0-9]", false},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(literal_only(c.pattern), c.literal_only) << c.pattern;
+    EXPECT_EQ(Regex(c.pattern).literal_only(), c.literal_only) << c.pattern;
+  }
+  ParseOptions nocase;
+  nocase.case_insensitive = true;
+  for (const auto& c : cases) {
+    EXPECT_FALSE(literal_only(c.pattern, nocase)) << c.pattern;
+    EXPECT_FALSE(Regex(c.pattern, nocase).literal_only()) << c.pattern;
+  }
+}
+
+TEST(Pattern, LiteralOnlyMeansContainsLiteral) {
+  const Regex re("rts panic! - stopping execution");
+  ASSERT_TRUE(re.literal_only());
+  EXPECT_EQ(re.prefilter_literal(), "rts panic! - stopping execution");
+  for (const std::string text :
+       {"x rts panic! - stopping execution", "rts panic!",
+        "rts panic! - stopping execution\n tail", ""}) {
+    EXPECT_EQ(re.search(text),
+              text.find(re.prefilter_literal()) != std::string::npos)
+        << text;
+  }
 }
 
 TEST(Pattern, EscapeLiteralRoundTrip) {

@@ -156,6 +156,99 @@ TEST(TagEngine, CorruptedLinesAgreeAcrossModes) {
   }
 }
 
+TEST(TagEngine, LiteralDecidedTermsAgreeAcrossModes) {
+  // Crafted to trip every way the literal-decided path could diverge
+  // from the Pike VM: a non-literal rule ahead of a literal-only rule
+  // with the same literal, an anchor, a negated literal, a field term.
+  std::vector<Rule> rules(6);
+  rules[0].category = "ANCHORED";
+  rules[0].predicate.add_term(0, "^kernel panic");
+  rules[1].category = "PANIC";
+  rules[1].predicate.add_term(0, "kernel panic");
+  rules[2].category = "DISK";
+  rules[2].predicate.add_term(0, "disk error");
+  rules[2].predicate.add_term(0, "recovered", /*negated=*/true);
+  rules[3].category = "MCE";
+  rules[3].predicate.add_term(0, "machine check");
+  rules[3].predicate.add_term(2, "KERNEL");
+  rules[4].category = "GM_PAR";
+  rules[4].predicate.add_term(0, "gm_parity\\.c:.*parity_int");
+  rules[5].category = "PARITY";
+  rules[5].predicate.add_term(0, "parity_int");
+  const RuleSet rs(SystemId::kLiberty, std::move(rules));
+  const struct {
+    std::string line;
+    int category;  // -1: no rule matches
+  } cases[] = {
+      {"kernel panic: halted", 0},
+      {"x kernel panic: halted", 1},
+      {"kernel panic after disk error", 0},
+      {"disk error on sda", 2},
+      {"disk error on sda recovered", -1},
+      {"cpu KERNEL machine check", 3},
+      {"cpu APP machine check", -1},
+      {"cpu machine check", -1},
+      {"gm_parity.c:115:parity_int():firmware", 4},
+      {"parity_int() then gm_parity.c:115", 5},
+      {"oops kernel panicked, disk errors", 1},
+      {"all quiet", -1},
+      {"", -1},
+  };
+  for (const auto mode : {TagEngineMode::kNaive, TagEngineMode::kPrefilter,
+                          TagEngineMode::kMulti}) {
+    const TagEngine engine(RuleSet(rs), mode);
+    match::MatchScratch scratch;
+    for (const auto& c : cases) {
+      const auto hit = engine.tag_line(c.line, scratch);
+      ASSERT_EQ(hit.has_value(), c.category >= 0)
+          << static_cast<int>(mode) << ": " << c.line;
+      if (hit) {
+        EXPECT_EQ(hit->category, c.category)
+            << static_cast<int>(mode) << ": " << c.line;
+      }
+    }
+  }
+}
+
+TEST(TagEngine, LiteralOnlyRulesSkipTheDfa) {
+  // BG/L's rules are all literal-only (KPANIC's field term runs on the
+  // field path), so no line should reach the lazy DFA.
+  sim::SimOptions opts;
+  opts.category_cap = 300;
+  opts.chatter_events = 2000;
+  const sim::Simulator simulator(SystemId::kBlueGeneL, opts);
+  const TagEngine engine(build_ruleset(SystemId::kBlueGeneL), TagEngineMode::kMulti);
+  match::MatchScratch scratch;
+  for (std::size_t i = 0; i < simulator.events().size(); ++i) {
+    engine.tag_line(simulator.line(i), scratch);
+  }
+  EXPECT_GT(scratch.tag_hits, 0u);
+  EXPECT_EQ(scratch.dfa_scans, 0u);
+  EXPECT_EQ(scratch.pike_fallback_scans, 0u);
+}
+
+TEST(TagEngine, NonLiteralRuleCostsOneDfaScan) {
+  // Liberty's GM_PAR pattern has ".*" inside: a line that makes it a
+  // candidate costs exactly one DFA scan; a literal-only hit costs none.
+  const RuleSet rs = build_ruleset(SystemId::kLiberty);
+  const TagEngine engine(rs, TagEngineMode::kMulti);
+  match::MatchScratch scratch;
+  const auto gm_par = engine.tag_line(
+      "Jun  3 10:00:00 ln1 kernel: GM: LANAI[0]: PANIC: "
+      "/usr/src/gm/firmware/gm_parity.c:115:parity_int():firmware",
+      scratch);
+  ASSERT_TRUE(gm_par);
+  EXPECT_EQ(std::size_t{gm_par->category}, rs.index_of("GM_PAR"));
+  EXPECT_EQ(scratch.dfa_scans, 1u);
+  const auto pbs = engine.tag_line(
+      "Jun  3 10:00:00 ln1 pbs_mom[9]: task_check, cannot tm_reply to "
+      "1.ladmin1 task 1",
+      scratch);
+  ASSERT_TRUE(pbs);
+  EXPECT_EQ(std::size_t{pbs->category}, rs.index_of("PBS_CHK"));
+  EXPECT_EQ(scratch.dfa_scans, 1u);
+}
+
 TEST(SeverityTagger, BglBaseline) {
   const auto tagger = SeverityTagger::bgl_fatal_failure();
   parse::LogRecord rec;

@@ -102,8 +102,9 @@ TEST(Strings, AppendDecimalAndHexMatchPrintf) {
     for (const int width : {1, 2, 4, 6}) {
       std::string out = "x";
       append_decimal(out, v, width);
-      EXPECT_EQ(out, "x" + format("%0*llu", width,
-                                  static_cast<unsigned long long>(v)));
+      std::string want = "x";
+      want += format("%0*llu", width, static_cast<unsigned long long>(v));
+      EXPECT_EQ(out, want);
     }
     std::string hex;
     append_hex(hex, v, 16);
